@@ -60,14 +60,20 @@ class _TaskEntry:
 
 
 class VmQueue:
-    """One VM's ordered schedule: executed history plus pending work chunks.
+    """One VM's ordered schedule of pending work chunks.
 
     `_chunks` holds only future work as (task_id, work) pairs in queue
-    order; the elapsed part of a preempted or running task has already been
-    moved to `_history` by advance() and can never be displaced.
+    order; advance() drops the elapsed part of a preempted or running task,
+    which can never be displaced.  Two running totals spare load() and
+    horizon() a walk over the queue: `_pending` is the chunks' total work,
+    and `_tail` the packed end of the last chunk, or None after a commit
+    until horizon() repacks.  advance() keeps `_tail` valid because it
+    executes the packing rule itself (on an emptied queue it is at most
+    `now`), and append_fifo() extends it in O(1).
     """
 
-    __slots__ = ("vm_index", "now", "version", "_chunks", "_entries", "_history")
+    __slots__ = ("vm_index", "now", "version", "_chunks", "_entries",
+                 "_pending", "_tail")
 
     def __init__(self, vm_index: int, now: int = 0):
         self.vm_index = vm_index
@@ -75,7 +81,8 @@ class VmQueue:
         self.version = 0
         self._chunks: list[tuple[str, int]] = []
         self._entries: dict[str, _TaskEntry] = {}
-        self._history: list[tuple[str, int, int, int]] = []
+        self._pending = 0
+        self._tail: int | None = now
 
     # ------------------------------------------------------------- queries
 
@@ -89,7 +96,7 @@ class VmQueue:
 
     def load(self) -> int:
         """Total pending work (used by best-effort least-loaded placement)."""
-        return sum(w for _, w in self._chunks)
+        return self._pending
 
     @property
     def future_chunks(self) -> tuple[tuple[str, int], ...]:
@@ -110,27 +117,25 @@ class VmQueue:
 
     def horizon(self) -> int:
         """Time by which all currently queued work will have executed."""
-        ends = _pack_spans(self._chunks, self._entries, self.now, None)
-        return ends[-1][1] if ends else self.now
+        tail = self._tail
+        if tail is None:
+            ends, _ = _pack(self._chunks, self._entries, self.now, None)
+            tail = self._tail = ends[-1] if ends else self.now
+        return tail if tail > self.now else self.now
 
     def schedule(self) -> list[Segment]:
         """The pending schedule as absolute-time segments."""
-        spans = _pack_spans(self._chunks, self._entries, self.now, None)
-        return [Segment(tid, w, s, e)
-                for (tid, w), (s, e) in zip(self._chunks, spans)]
-
-    @property
-    def segments(self) -> list[Segment]:
-        """Executed history followed by the pending schedule."""
-        done = [Segment(tid, w, s, e) for tid, w, s, e in self._history]
-        return done + self.schedule()
+        ends, _ = _pack(self._chunks, self._entries, self.now, None)
+        return [Segment(tid, w, e - w, e)
+                for (tid, w), e in zip(self._chunks, ends)]
 
     def clone(self) -> "VmQueue":
         other = VmQueue(self.vm_index, self.now)
         other.version = self.version
         other._chunks = list(self._chunks)
         other._entries = {tid: e.clone() for tid, e in self._entries.items()}
-        other._history = list(self._history)
+        other._pending = self._pending
+        other._tail = self._tail
         return other
 
     # ----------------------------------------------------------- mutations
@@ -146,6 +151,7 @@ class VmQueue:
         chunks = self._chunks
         cursor = self.now
         consumed = 0
+        executed = 0
         for i, (tid, w) in enumerate(chunks):
             entry = self._entries[tid]
             start = entry.ready if entry.ready > cursor else cursor
@@ -154,8 +160,8 @@ class VmQueue:
             run = w if start + w <= to else to - start
             if entry.first_start is None:
                 entry.first_start = start
-            self._history.append((tid, run, start, start + run))
             entry.executed += run
+            executed += run
             cursor = start + run
             if run == w:
                 consumed = i + 1
@@ -167,6 +173,7 @@ class VmQueue:
                 break
         if consumed:
             del chunks[:consumed]
+        self._pending -= executed
         self.now = to
         self.version += 1
         return completed
@@ -179,47 +186,39 @@ class VmQueue:
         if task.id in self._entries:
             raise SchedulerError(f"task {task.id!r} already on vm {self.vm_index}")
         work = task.profile.r_edge
+        horizon = self.horizon()
         self._entries[task.id] = _TaskEntry(ready, None, work, task.arrival)
         self._chunks.append((task.id, work))
+        self._pending += work
+        self._tail = (ready if ready > horizon else horizon) + work
         self.version += 1
-        return self.horizon()
+        return self._tail
 
 
-def _pack_spans(chunks: list[tuple[str, int]],
-                entries: dict[str, _TaskEntry],
-                now: int,
-                extra_ready: dict[str, int] | None) -> list[tuple[int, int]]:
-    """Pack chunks contiguously from `now`, honouring per-task ready times."""
-    spans: list[tuple[int, int]] = []
+def _pack(chunks: list[tuple[str, int]],
+          entries: dict[str, _TaskEntry],
+          now: int,
+          extra_ready: dict[str, int] | None
+          ) -> tuple[list[int], dict[str, int]]:
+    """Pack chunks contiguously from `now`, honouring per-task ready times.
+
+    A chunk starts at its task's ready time or at the previous chunk's
+    end, whichever is later.  Returns the end of every chunk (its start is
+    its end minus its work) and every task's execution end, the end of its
+    last chunk.
+    """
+    chunk_ends: list[int] = []
+    task_ends: dict[str, int] = {}
     cursor = now
     for tid, w in chunks:
         if extra_ready is not None and tid in extra_ready:
             ready = extra_ready[tid]
         else:
             ready = entries[tid].ready
-        start = ready if ready > cursor else cursor
-        end = start + w
-        spans.append((start, end))
-        cursor = end
-    return spans
-
-
-def _pack_ends(chunks: list[tuple[str, int]],
-               entries: dict[str, _TaskEntry],
-               now: int,
-               extra_ready: dict[str, int] | None) -> dict[str, int]:
-    """Per-task execution end times (end of each task's last chunk)."""
-    ends: dict[str, int] = {}
-    cursor = now
-    for tid, w in chunks:
-        if extra_ready is not None and tid in extra_ready:
-            ready = extra_ready[tid]
-        else:
-            ready = entries[tid].ready
-        start = ready if ready > cursor else cursor
-        cursor = start + w
-        ends[tid] = cursor
-    return ends
+        cursor = (ready if ready > cursor else cursor) + w
+        chunk_ends.append(cursor)
+        task_ends[tid] = cursor
+    return chunk_ends, task_ends
 
 
 def _merge_adjacent(chunks: list[tuple[str, int]]) -> list[tuple[str, int]]:
@@ -263,6 +262,8 @@ class TrialInsertion:
         queue._chunks = list(self.candidate_chunks)
         queue._entries[self.task_id] = _TaskEntry(self.ready, self.deadline,
                                                   self.work, self.arrival)
+        queue._pending += self.work
+        queue._tail = None
         return queue
 
 
@@ -288,7 +289,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     new_ready = {task.id: ready}
 
     original = queue._chunks
-    old_ends = _pack_ends(original, entries, now, None)
+    _, old_ends = _pack(original, entries, now, None)
 
     # SRTF scan: first queued task with more remaining work than the newcomer.
     insert_at: int | None = None
@@ -317,7 +318,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
             candidate.append((task.id, work))
 
     candidate = _merge_adjacent(candidate)
-    new_ends = _pack_ends(candidate, entries, now, new_ready)
+    _, new_ends = _pack(candidate, entries, now, new_ready)
 
     delay = 0
     for tid, end in old_ends.items():
@@ -381,7 +382,7 @@ def _repair(original: list[tuple[str, int]],
     while pending is not None:
         candidate[position:position] = pending
         pending = None
-        ends = _pack_ends(candidate, entries, now, new_ready)
+        _, ends = _pack(candidate, entries, now, new_ready)
         # The newcomer is exempt: its own lateness is an admission matter
         # for the caller, not a repair matter.  Every admitted task is
         # re-checked each round: an insertion can delay a task whose last
@@ -409,9 +410,9 @@ def _repair(original: list[tuple[str, int]],
         evicted: list[tuple[str, int]] = []
         feasible = True
         while True:
-            spans = _pack_spans(candidate, entries, now, new_ready)
+            chunk_ends, _ = _pack(candidate, entries, now, new_ready)
             last = _last_index_of(candidate, violator)
-            overshoot = spans[last][1] - limit
+            overshoot = chunk_ends[last] - limit
             if overshoot <= 0:
                 break
             source = None
@@ -428,11 +429,11 @@ def _repair(original: list[tuple[str, int]],
             # chunk), so shrinking the source by `take` moves the violator's
             # end earlier by exactly min(take, source_end - ready_v): the
             # violator's ready time caps how far its chain can slide.
-            source_end = spans[source][1]
+            source_end = chunk_ends[source]
             tail = sum(candidate[i][1] for i in range(source + 1, last + 1))
-            before = spans[source - 1][1] if source > 0 else now
+            before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
-            shift_full = spans[last][1] - full_end
+            shift_full = chunk_ends[last] - full_end
             if shift_full <= 0:
                 # The chain is gated at the violator's ready time; no
                 # eviction anywhere earlier can pull its end in.
@@ -494,6 +495,8 @@ def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
                                                trial.work, trial.arrival)
+    queue._pending += trial.work
+    queue._tail = None
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
                  vm_index, trial.task_id, trial.candidate_completion, trial.delta_t)

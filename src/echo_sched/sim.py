@@ -23,7 +23,7 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import Decision, Platform, Task, to_seconds
+from .model import Decision, Platform, Task, to_seconds, validate_trace
 from .objectsync import SyncParams, TransferAccountant, TransferCost
 from .policies import build_policy
 from .scheduler import VmQueue
@@ -247,6 +247,9 @@ def oracle_step_sim(trace: TraceFile | list[Task], policy, config: SimConfig,
 def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
               stepper: int | None) -> SimReport:
     tasks = trace.tasks if isinstance(trace, TraceFile) else trace
+    # Decisions are keyed by task id: a duplicate would silently overwrite
+    # the first task's outcome, so reject the trace as the CLI loader does.
+    validate_trace(tasks)
     if isinstance(policy, str):
         policy = build_policy(policy, provision_delay=config.provision_delay,
                               estimate_noise=config.estimate_noise,

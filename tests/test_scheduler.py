@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from echo_sched import scheduler
 from echo_sched.model import CostProfile, Task
 from echo_sched.scheduler import (
     SchedulerError,
@@ -39,6 +40,14 @@ def admit(queue: VmQueue, tid: str, work: int, ready: int,
 def oracle_ends(queue: VmQueue) -> dict[str, int]:
     ready = {tid: queue.ready_of(tid) for tid, _ in queue.future_chunks}
     return step_completions(queue.future_chunks, ready, queue.now)
+
+
+def assert_totals(queue: VmQueue) -> None:
+    """The running load() and horizon() equal a recount from the chunks."""
+    assert queue.load() == sum(w for _, w in queue.future_chunks)
+    segments = queue.schedule()
+    assert queue.horizon() == (segments[-1].scheduled_end if segments
+                               else queue.now)
 
 
 # ---------------------------------------------------------------- queries
@@ -314,6 +323,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
         now += rng.randrange(0, 1500) * 1000
         for q in queues:
             q.advance(now)
+            assert_totals(q)
         work = rng.randrange(1, 4000) * 1000
         ready = now + rng.randrange(0, 400) * 1000
         if rng.random() < 0.2:
@@ -331,6 +341,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
         for q, trial in zip(queues, trials):
             old = schedule_ends(q)
             cand = trial.candidate_queue
+            assert_totals(cand)
             new = schedule_ends(cand)
             growth = new[task.id] - task.arrival
             for tid, end in old.items():
@@ -363,6 +374,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
 
         if deadline is None or chosen.candidate_completion <= deadline:
             commit(queues, vm, chosen)
+            assert_totals(queues[vm])
             if deadline is not None:
                 deadlines[task.id] = (vm, deadline)
             admitted += 1
@@ -371,6 +383,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
     for q in queues:
         q.advance(horizon)
         assert q.load() == 0
+        assert_totals(q)
     for tid, (vm, limit) in deadlines.items():
         done = queues[vm].completion_of(tid)
         assert done is not None
@@ -387,3 +400,92 @@ def test_random_sessions_hold_invariants():
 
 def test_long_session_soak():
     _random_session(seed=424242, n_vms=2, n_tasks=60)
+
+
+def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
+    """Interleave best-effort FIFO appends with trial/commit admissions.
+
+    FIFO tasks go to the least-loaded VM, as the mcloud policy places them.
+    Every append_fifo return must equal the tick oracle's end of the
+    appended task, and load() and horizon() must match a recount after
+    every advance, append, trial and commit.  Returns the number of
+    appends.
+    """
+    rng = random.Random(seed)
+    queues = [VmQueue(i) for i in range(n_vms)]
+    now = 0
+    appended = 0
+    for i in range(n_tasks):
+        now += rng.randrange(0, 1500) * 1000
+        for q in queues:
+            q.advance(now)
+            assert_totals(q)
+        work = rng.randrange(1, 4000) * 1000
+        ready = now + rng.randrange(0, 400) * 1000
+        task = task_us(f"t{i}", work, arrival=now)
+        if rng.random() < 0.5:
+            q = min(queues, key=lambda v: (v.load(), v.vm_index))
+            end = q.append_fifo(task, ready)
+            assert end == oracle_ends(q)[task.id], f"seed {seed}"
+            assert_totals(q)
+            appended += 1
+            continue
+        deadline = (None if rng.random() < 0.3
+                    else ready + work + rng.randrange(0, 2500) * 1000)
+        vm, trial = best_vm(queues, task, ready, deadline)
+        assert_totals(trial.candidate_queue)
+        if deadline is None or trial.candidate_completion <= deadline:
+            commit(queues, vm, trial)
+            assert_totals(queues[vm])
+    horizon = max(q.horizon() for q in queues)
+    for q in queues:
+        q.advance(horizon)
+        assert q.load() == 0
+        assert_totals(q)
+    return appended
+
+
+def test_fifo_appends_mixed_with_admissions_keep_totals():
+    appended = sum(_mixed_session(seed, 1 + seed % 3, 16) for seed in range(20))
+    assert appended > 100  # the sessions must actually exercise appends
+
+
+class _Unwalkable(list):
+    """A chunk list that fails the test when anything iterates over it."""
+
+    def __iter__(self):
+        raise AssertionError("pending chunks walked")
+
+
+def test_fifo_appends_never_repack(monkeypatch):
+    # A queue fed only by append_fifo, as mcloud feeds it, answers load()
+    # and horizon() from its running totals: summing or packing its chunks
+    # made each mcloud arrival cost O(queue length).
+    calls = 0
+    pack = scheduler._pack
+
+    def counting_pack(*args):
+        nonlocal calls
+        calls += 1
+        return pack(*args)
+
+    monkeypatch.setattr(scheduler, "_pack", counting_pack)
+    q = VmQueue(0)
+    for i in range(1000):
+        end = q.append_fifo(task_us(f"t{i}", sec(1)), q.now)
+        assert end == sec(i + 1)
+        if i == 499:
+            q.advance(sec(250))
+            q._chunks = _Unwalkable(q._chunks)
+    assert q.horizon() == sec(1000)
+    assert q.load() == sec(750)
+    assert calls == 0
+
+    # A commit may reorder the queue: the next horizon() repacks once and
+    # caches the result.
+    q._chunks = q._chunks[:]
+    admit(q, "n", sec(1), q.now, None)
+    calls = 0
+    assert q.horizon() == sec(1001)
+    assert q.horizon() == sec(1001)
+    assert calls == 1

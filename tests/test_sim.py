@@ -6,7 +6,9 @@ import statistics
 
 import pytest
 
-from echo_sched.model import CostProfile, Decision, Platform, Task, to_seconds
+from echo_sched.model import (CostProfile, Decision, Platform, Task, TraceError,
+                              to_seconds)
+from echo_sched.policies import POLICY_NAMES
 from echo_sched.sim import (
     CSV_COLUMNS,
     EnergyParams,
@@ -153,6 +155,22 @@ def test_zero_vms_degenerates_to_two_platforms():
     report = run(trace, "echo", SimConfig(num_vms=0))
     assert report.aggregates["platform_counts"]["edge"] == 0
     assert {r.platform for r in report.records} <= {"mobile", "cloud"}
+
+
+@pytest.mark.parametrize("num_vms", [0, 2])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_run_rejects_duplicate_task_ids(policy, num_vms):
+    # Outcomes are keyed by task id: a repeated id would report the first
+    # x with the second's decision (at 0 VMs: cloud, although its 5s
+    # device run beats the cloud's 5.5s), so the library must refuse the
+    # trace as the CLI does.
+    first = mk_task("x", arrival=0.0, r_mobile=5.0)
+    second = mk_task("x", arrival=1.0, r_mobile=6.0)
+    config = SimConfig(num_vms=num_vms)
+    with pytest.raises(TraceError, match="duplicate task id 'x'"):
+        run([first, second], policy, config)
+    with pytest.raises(TraceError, match="duplicate task id 'x'"):
+        oracle_step_sim([first, second], policy, config, dt=1000)
 
 
 def test_noisy_estimates_still_meet_shifted_deadlines():

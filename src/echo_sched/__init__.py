@@ -11,9 +11,9 @@ trace-driven simulator and reports), cli (the command-line surface).
 from .engine import PlatformEstimate, decide, estimate, evaluate
 from .model import (CostProfile, Deadline, Decision, Platform, Segment, Task,
                     TraceError, from_seconds, to_seconds, validate_trace)
-from .objectsync import (ObjectRecord, SyncLedger, SyncParams, TaskObjectSet,
-                         TransferAccountant, diff_apply, diff_encode,
-                         lazy_bytes, propagate_edge_cloud)
+from .objectsync import (EagerTransfer, ObjectRecord, SyncParams,
+                         TaskObjectSet, TransferAccountant, diff_apply,
+                         diff_encode, lazy_bytes)
 from .policies import POLICY_NAMES, build_policy
 from .scheduler import (SchedulerError, StaleTrialError, TrialInsertion,
                         VmQueue, best_vm, commit, trial_insert)
@@ -24,14 +24,13 @@ from .traceio import MixSpec, TraceFile, generate, load, save
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostProfile", "Deadline", "Decision", "EnergyParams", "MixSpec",
-    "ObjectRecord", "POLICY_NAMES", "Platform", "PlatformEstimate",
-    "SchedulerError", "Segment", "SimConfig", "SimReport", "StaleTrialError",
-    "SyncLedger", "SyncParams", "Task", "TaskObjectSet", "TraceError",
-    "TraceFile", "TransferAccountant", "TrialInsertion", "VmQueue",
-    "best_vm", "build_policy", "commit", "decide", "diff_apply",
+    "CostProfile", "Deadline", "Decision", "EagerTransfer", "EnergyParams",
+    "MixSpec", "ObjectRecord", "POLICY_NAMES", "Platform",
+    "PlatformEstimate", "SchedulerError", "Segment", "SimConfig",
+    "SimReport", "StaleTrialError", "SyncParams", "Task", "TaskObjectSet",
+    "TraceError", "TraceFile", "TransferAccountant", "TrialInsertion",
+    "VmQueue", "best_vm", "build_policy", "commit", "decide", "diff_apply",
     "diff_encode", "energy_of", "estimate", "evaluate", "from_seconds",
-    "generate", "lazy_bytes", "load", "oracle_step_sim",
-    "propagate_edge_cloud", "run", "save", "to_seconds", "trial_insert",
-    "validate_trace",
+    "generate", "lazy_bytes", "load", "oracle_step_sim", "run", "save",
+    "to_seconds", "trial_insert", "validate_trace",
 ]

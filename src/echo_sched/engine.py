@@ -23,7 +23,7 @@ from .scheduler import TrialInsertion, VmQueue, best_vm, commit
 
 logger = logging.getLogger(__name__)
 
-# argmin tie order: prefer edge, then cloud, then the device
+# the one argmin tie order (fastest): prefer edge, then cloud, then the device
 _TIE_RANK = {Platform.EDGE: 0, Platform.CLOUD: 1, Platform.MOBILE: 2}
 
 
@@ -95,6 +95,15 @@ def decide(task: Task, queues: list[VmQueue], now: int, *,
                     deadline=Deadline(deadline + task.profile.down_edge))
 
 
+def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
+    """Argmin of the estimates in _TIE_RANK order; t_edge None means no edge."""
+    candidates = [(t_mobile, _TIE_RANK[Platform.MOBILE], Platform.MOBILE),
+                  (t_cloud, _TIE_RANK[Platform.CLOUD], Platform.CLOUD)]
+    if t_edge is not None:
+        candidates.append((t_edge, _TIE_RANK[Platform.EDGE], Platform.EDGE))
+    return min(candidates)[2]
+
+
 def _evaluate(task: Task, queues: list[VmQueue], now: int, *,
               provision_delay: int, edge_upload_time: int | None,
               estimate_noise: float,
@@ -120,13 +129,7 @@ def _evaluate(task: Task, queues: list[VmQueue], now: int, *,
         vm_index, trial = best_vm(queues, task, ready, queue_limit)
         t_edge = (trial.candidate_completion - now) + p.down_edge
 
-    candidates: list[tuple[int, int, Platform]] = [
-        (t_mobile, _TIE_RANK[Platform.MOBILE], Platform.MOBILE),
-        (t_cloud, _TIE_RANK[Platform.CLOUD], Platform.CLOUD),
-    ]
-    if t_edge is not None:
-        candidates.append((t_edge, _TIE_RANK[Platform.EDGE], Platform.EDGE))
-    _, _, chosen = min(candidates)
+    chosen = fastest(t_mobile, t_cloud, t_edge)
     if chosen is not Platform.EDGE:
         trial = None
     return PlatformEstimate(t_mobile, t_cloud, t_edge, chosen), trial

@@ -40,7 +40,8 @@ class CostProfile:
 
     Durations are integer microseconds:
       r_mobile   -- execution time locally on the device
-      r_edge     -- execution time on one edge VM
+      r_edge     -- execution time on one edge VM (> 0: a VM queue
+                    cannot hold a task with no work)
       r_cloud    -- execution time on the cloud
       up_edge    -- device-to-edge input transfer time
       down_edge  -- edge-to-device result transfer time
@@ -64,6 +65,8 @@ class CostProfile:
         for name in ("r_mobile", "r_edge", "r_cloud", "up_edge",
                      "down_edge", "up_cloud", "down_cloud"):
             _check_duration(name, getattr(self, name))
+        if self.r_edge == 0:
+            raise TraceError("r_edge must be > 0, got 0")
         for name in ("upload_bytes", "download_bytes"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:

@@ -3,10 +3,11 @@
 Two layers live here.  The codec layer is real: diff_encode/diff_apply
 implement a block-hashing delta format (fixed-size source blocks, rolling
 window match with byte-exact verification and greedy extension), and
-lazy_bytes prices a proxy-first transfer of an object set.  The accounting
-layer (SyncLedger, TransferAccountant) applies the same pricing rules as
-pure arithmetic so the simulator can charge effective bytes per task
-without materializing payloads.
+lazy_bytes prices a proxy-first transfer of an object set.  The transfer
+models are what the simulator charges with, as pure arithmetic on profiled
+sizes so no payload is ever materialized: TransferAccountant applies the
+lazy and differential pricing rules, EagerTransfer ships profiled bytes
+as-is.  Each policy declares which one prices its offloads.
 
 Delta wire format, little-endian:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +43,6 @@ MIN_BLOCK = 64
 DEFAULT_BLOCK = 1024
 # fixed header (46 B) + one COPY op (13 B) and change, rounded up
 DELTA_HEADER_BUDGET = 64
-
-ENDPOINTS = ("mobile", "edge", "cloud")
-LINKS = ("mobile-edge", "mobile-cloud", "edge-cloud")
 
 
 class SyncError(Exception):
@@ -236,111 +234,6 @@ def eager_bytes(obj_set: TaskObjectSet) -> int:
 
 
 # --------------------------------------------------------------------------
-# sync ledger
-
-
-@dataclass
-class LinkCounters:
-    proxy_bytes: int = 0
-    payload_bytes: int = 0
-    delta_bytes: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.proxy_bytes + self.payload_bytes + self.delta_bytes
-
-
-def link_name(a: str, b: str) -> str:
-    """Canonical link between two endpoints (order-insensitive)."""
-    pair = {a, b}
-    for name in LINKS:
-        left, _, right = name.partition("-")
-        if pair == {left, right}:
-            return name
-    raise ValueError(f"no link between {a!r} and {b!r}")
-
-
-class SyncLedger:
-    """Per-endpoint object caches plus per-link byte counters.
-
-    Every transfer goes through push(): a destination that has never seen
-    the object receives the full payload; a destination holding an older
-    version receives a real delta; a destination already current receives
-    nothing.  Mutations are serialized by the caller (single-threaded use).
-    """
-
-    def __init__(self, block_size: int = DEFAULT_BLOCK):
-        self.block_size = block_size
-        self._caches: dict[str, dict[str, ObjectRecord]] = {e: {} for e in ENDPOINTS}
-        self.counters: dict[str, LinkCounters] = {name: LinkCounters() for name in LINKS}
-
-    def seed(self, endpoint: str, record: ObjectRecord) -> None:
-        """Install an object at an endpoint without charging any link."""
-        self._check_version(endpoint, record)
-        self._caches[endpoint][record.object_id] = record
-
-    def cached(self, endpoint: str, object_id: str) -> ObjectRecord | None:
-        return self._caches[endpoint].get(object_id)
-
-    def record_proxies(self, src: str, dst: str, count: int, proxy_header: int) -> int:
-        if count < 0 or proxy_header <= 0:
-            raise ValueError("proxy count must be >= 0 and header positive")
-        bytes_ = count * proxy_header
-        self.counters[link_name(src, dst)].proxy_bytes += bytes_
-        return bytes_
-
-    def push(self, record: ObjectRecord, src: str, dst: str) -> int:
-        """Transmit an object src → dst; returns bytes charged to the link."""
-        source_copy = self._caches[src].get(record.object_id)
-        if source_copy is None or source_copy.version < record.version:
-            self._caches[src][record.object_id] = record
-        held = self._caches[dst].get(record.object_id)
-        counters = self.counters[link_name(src, dst)]
-        if held is None:
-            charged = len(record.payload)
-            counters.payload_bytes += charged
-        elif held.version == record.version:
-            return 0
-        elif held.version > record.version:
-            raise SyncError(
-                f"stale push of {record.object_id!r} v{record.version} over "
-                f"v{held.version} at {dst}")
-        else:
-            delta = diff_encode(held.payload, record.payload, self.block_size)
-            charged = len(delta)
-            counters.delta_bytes += charged
-            if diff_apply(held.payload, delta) != record.payload:
-                raise SyncError(f"delta round-trip failed for {record.object_id!r}")
-        self._caches[dst][record.object_id] = record
-        return charged
-
-    def _check_version(self, endpoint: str, record: ObjectRecord) -> None:
-        held = self._caches[endpoint].get(record.object_id)
-        if held is not None and record.version < held.version:
-            raise SyncError(
-                f"version regression for {record.object_id!r} at {endpoint}: "
-                f"{held.version} -> {record.version}")
-
-
-def propagate_edge_cloud(ledger: SyncLedger, object_id: str) -> int:
-    """Bring the staler of edge/cloud up to date with the fresher one.
-
-    Charged to the edge-cloud link only; runs in the background and never
-    delays a mobile-facing completion.  Returns payload/delta bytes moved
-    (0 when both sides are already current).
-    """
-    at_edge = ledger.cached("edge", object_id)
-    at_cloud = ledger.cached("cloud", object_id)
-    if at_edge is None and at_cloud is None:
-        raise SyncError(f"object {object_id!r} unknown at both edge and cloud")
-    if at_cloud is None or (at_edge is not None and at_edge.version > at_cloud.version):
-        return ledger.push(at_edge, "edge", "cloud")
-    if at_edge is None or at_cloud.version > at_edge.version:
-        return ledger.push(at_cloud, "cloud", "edge")
-    return 0
-
-
-# --------------------------------------------------------------------------
 # per-task transfer accounting for the simulator
 
 
@@ -388,13 +281,23 @@ class TransferAccountant:
     Pure arithmetic mirror of the object pipeline: no payloads change
     hands, only the sizes the pipeline would transmit.  State is keyed by
     (user_id, app): the first offload pays the referred resource slice in
-    full, later offloads pay deltas.  Baseline policies bypass this class
-    entirely and pay profiled bytes as-is.
+    full, later offloads pay deltas.  Baseline policies declare
+    EagerTransfer instead and pay profiled bytes as-is.
     """
 
     def __init__(self, params: SyncParams | None = None):
         self.params = params or SyncParams()
         self._synced: set[tuple[str, str]] = set()
+
+    def upload_us(self, task) -> int:
+        """Edge upload leg if this task offloads now: the profiled leg scaled
+        to the bytes that move, plus the demand-fetch round trip."""
+        cost = self.preview(task)
+        profile = task.profile
+        base = profile.up_edge
+        if profile.upload_bytes > 0:
+            base = round(base * cost.up_bytes / profile.upload_bytes)
+        return base + cost.up_extra_us
 
     def preview(self, task) -> TransferCost:
         """Cost if this task offloads now; no state change."""
@@ -428,3 +331,17 @@ class TransferAccountant:
             up_extra_us=extra,
             backhaul_bytes=state_cost,
         )
+
+
+class EagerTransfer:
+    """Baseline transfer model: every offload ships its profiled bytes."""
+
+    def __init__(self, params: SyncParams | None = None):
+        """Profiled bytes need no knobs; `params` keeps one signature."""
+
+    def upload_us(self, task) -> int:
+        return task.profile.up_edge
+
+    def commit(self, task) -> TransferCost:
+        p = task.profile
+        return TransferCost(p.upload_bytes, p.download_bytes, 0, 0)

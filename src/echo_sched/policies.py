@@ -2,7 +2,10 @@
 
 Every policy looks at one arriving task plus the current edge queues and
 returns a Decision.  Only the two edge-aware policies ever mutate the
-queues, and only when they actually place the task on a VM.
+queues, and only when they actually place the task on a VM.  Each policy
+also declares its transfer model, the class the simulator prices its
+offloads with: lazy plus delta transmission for echo, profiled bytes as-is
+for the four baselines.
 
     end-only      run everything on the device
     cloud-always  offload everything offloadable to the cloud
@@ -16,16 +19,15 @@ from __future__ import annotations
 
 from . import engine
 from .model import Decision, Platform, Task
+from .objectsync import EagerTransfer, TransferAccountant
 from .scheduler import VmQueue
-
-# tie order everywhere: edge beats cloud beats the device
-_TIE_RANK = {Platform.EDGE: 0, Platform.CLOUD: 1, Platform.MOBILE: 2}
 
 
 class LocalOnlyPolicy:
     """Baseline: never offload."""
 
     name = "end-only"
+    transfer_model = EagerTransfer
 
     def decide(self, task: Task, queues: list[VmQueue], now: int,
                edge_upload_time: int | None = None) -> Decision:
@@ -36,6 +38,7 @@ class CloudAlwaysPolicy:
     """Baseline: every offloadable task goes to the cloud, regardless of cost."""
 
     name = "cloud-always"
+    transfer_model = EagerTransfer
 
     def decide(self, task: Task, queues: list[VmQueue], now: int,
                edge_upload_time: int | None = None) -> Decision:
@@ -49,6 +52,7 @@ class QueueBlindCloudPolicy:
     """Offload to the cloud only when that strictly beats running locally."""
 
     name = "thinkair"
+    transfer_model = EagerTransfer
 
     def decide(self, task: Task, queues: list[VmQueue], now: int,
                edge_upload_time: int | None = None) -> Decision:
@@ -68,6 +72,7 @@ class BestEffortEdgePolicy:
     """
 
     name = "mcloud"
+    transfer_model = EagerTransfer
 
     def __init__(self, provision_delay: int = 0):
         self.provision_delay = provision_delay
@@ -78,15 +83,10 @@ class BestEffortEdgePolicy:
         if not task.offloadable:
             return Decision(Platform.MOBILE, now + t_mobile)
         p = task.profile
-        candidates = [
-            (t_mobile, _TIE_RANK[Platform.MOBILE], Platform.MOBILE),
-            (t_cloud, _TIE_RANK[Platform.CLOUD], Platform.CLOUD),
-        ]
         t_edge: int | None = None
         if queues:
             t_edge = p.up_edge + p.r_edge + p.down_edge  # assumes no waiting
-            candidates.append((t_edge, _TIE_RANK[Platform.EDGE], Platform.EDGE))
-        _, _, chosen = min(candidates)
+        chosen = engine.fastest(t_mobile, t_cloud, t_edge)
         if chosen is Platform.MOBILE:
             return Decision(Platform.MOBILE, now + t_mobile)
         if chosen is Platform.CLOUD:
@@ -102,6 +102,7 @@ class DeadlineAwareEdgePolicy:
     """The decision engine: edge admission with a completion guarantee."""
 
     name = "echo"
+    transfer_model = TransferAccountant
 
     def __init__(self, provision_delay: int = 0, estimate_noise: float = 0.0,
                  noise_seed: int = 0):

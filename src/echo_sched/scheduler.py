@@ -39,20 +39,19 @@ class StaleTrialError(SchedulerError):
 class _TaskEntry:
     """Mutable bookkeeping for one task admitted to a VM queue."""
 
-    __slots__ = ("ready", "deadline", "total", "executed", "arrival",
-                 "first_start", "completion")
+    __slots__ = ("ready", "deadline", "total", "executed", "first_start",
+                 "completion")
 
-    def __init__(self, ready: int, deadline: int | None, total: int, arrival: int):
+    def __init__(self, ready: int, deadline: int | None, total: int):
         self.ready = ready
         self.deadline = deadline          # latest allowed execution end; None = best effort
         self.total = total
         self.executed = 0
-        self.arrival = arrival
         self.first_start: int | None = None
         self.completion: int | None = None  # execution end, set once the last chunk runs
 
     def clone(self) -> "_TaskEntry":
-        other = _TaskEntry(self.ready, self.deadline, self.total, self.arrival)
+        other = _TaskEntry(self.ready, self.deadline, self.total)
         other.executed = self.executed
         other.first_start = self.first_start
         other.completion = self.completion
@@ -187,7 +186,7 @@ class VmQueue:
             raise SchedulerError(f"task {task.id!r} already on vm {self.vm_index}")
         work = task.profile.r_edge
         horizon = self.horizon()
-        self._entries[task.id] = _TaskEntry(ready, None, work, task.arrival)
+        self._entries[task.id] = _TaskEntry(ready, None, work)
         self._chunks.append((task.id, work))
         self._pending += work
         self._tail = (ready if ready > horizon else horizon) + work
@@ -251,7 +250,6 @@ class TrialInsertion:
     ready: int
     deadline: int | None
     work: int
-    arrival: int
     _source: VmQueue = field(repr=False)
     _source_version: int = field(repr=False)
 
@@ -261,7 +259,7 @@ class TrialInsertion:
         queue = self._source.clone()
         queue._chunks = list(self.candidate_chunks)
         queue._entries[self.task_id] = _TaskEntry(self.ready, self.deadline,
-                                                  self.work, self.arrival)
+                                                  self.work)
         queue._pending += self.work
         queue._tail = None
         return queue
@@ -341,7 +339,6 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         ready=ready,
         deadline=deadline,
         work=work,
-        arrival=task.arrival,
         _source=queue,
         _source_version=queue.version,
     )
@@ -494,7 +491,7 @@ def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
             f"{trial._source_version} -> {queue.version})")
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
-                                               trial.work, trial.arrival)
+                                               trial.work)
     queue._pending += trial.work
     queue._tail = None
     queue.version += 1

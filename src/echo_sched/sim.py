@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import Decision, Platform, Task, to_seconds, validate_trace
-from .objectsync import SyncParams, TransferAccountant, TransferCost
+from .objectsync import SyncParams, TransferCost
 from .policies import build_policy
 from .scheduler import VmQueue
 from .traceio import TraceFile
@@ -197,22 +197,10 @@ def _scale_leg(duration_us: int, actual_bytes: int, profiled_bytes: int) -> floa
     return seconds
 
 
-def effective_upload_us(task: Task, cost: TransferCost) -> int:
-    """Edge upload leg duration when only `cost.up_bytes` actually move."""
-    base = task.profile.up_edge
-    if task.profile.upload_bytes > 0:
-        base = round(base * cost.up_bytes / task.profile.upload_bytes)
-    return base + cost.up_extra_us
-
-
-def _eager_cost(task: Task) -> TransferCost:
-    return TransferCost(up_bytes=task.profile.upload_bytes,
-                        down_bytes=task.profile.download_bytes,
-                        up_extra_us=0, backhaul_bytes=0)
-
-
 # --------------------------------------------------------------------------
 # the simulator
+
+_NO_TRANSFER = TransferCost(0, 0, 0, 0)
 
 
 def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
@@ -254,8 +242,7 @@ def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
         policy = build_policy(policy, provision_delay=config.provision_delay,
                               estimate_noise=config.estimate_noise,
                               noise_seed=config.seed)
-    lazy = policy.name == "echo"
-    accountant = TransferAccountant(config.sync) if lazy else None
+    transfer = policy.transfer_model(config.sync)
 
     queues = [VmQueue(i) for i in range(config.num_vms)]
     steppers = ([_SteppedVm(dt=stepper) for _ in queues]
@@ -274,24 +261,14 @@ def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
             queue.advance(now)
         clock = now
 
-        if accountant is not None:
-            cost = accountant.preview(task)
-            upload = effective_upload_us(task, cost)
-            if stepper is not None and upload % stepper:
-                raise SimError(
-                    f"dt={stepper} does not divide the effective upload "
-                    f"of task {task.id!r}: {upload}")
-            decision = policy.decide(task, queues, now, edge_upload_time=upload)
-        else:
-            cost = _eager_cost(task)
-            decision = policy.decide(task, queues, now)
-
-        if decision.platform is Platform.MOBILE:
-            costs[task.id] = TransferCost(0, 0, 0, 0)
-        else:
-            if accountant is not None:
-                cost = accountant.commit(task)
-            costs[task.id] = cost
+        upload = transfer.upload_us(task)
+        if stepper is not None and upload % stepper:
+            raise SimError(
+                f"dt={stepper} does not divide the effective upload "
+                f"of task {task.id!r}: {upload}")
+        decision = policy.decide(task, queues, now, edge_upload_time=upload)
+        costs[task.id] = (_NO_TRANSFER if decision.platform is Platform.MOBILE
+                          else transfer.commit(task))
         decisions[task.id] = decision
         if steppers is not None and decision.platform is Platform.EDGE:
             assert decision.vm_index is not None

@@ -82,6 +82,21 @@ def test_simulate_missing_trace_is_a_usage_error(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_simulate_rejects_zero_edge_run(tmp_path):
+    trace = make_trace(tmp_path, n=3)
+    lines = trace.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["profile"]["r_edge"] = 0
+    lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    for policy in ("echo", "mcloud"):
+        result = run_cli("simulate", "--trace", trace, "--policy", policy,
+                         "--vms", 1, "--out", tmp_path / policy, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "line 3" in result.stderr and "r_edge must be > 0" in result.stderr
+        assert not (tmp_path / f"{policy}.json").exists()
+
+
 def test_simulate_zero_vms_is_allowed(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("simulate", "--trace", trace, "--policy", "echo",

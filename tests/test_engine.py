@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from echo_sched.engine import decide, estimate, evaluate
+from echo_sched.engine import decide, estimate, evaluate, fastest
 from echo_sched.model import CostProfile, Platform, Task
 from echo_sched.scheduler import VmQueue
 from conftest import mk_task, sec
@@ -97,6 +97,16 @@ def test_decide_mobile_cloud_tie_prefers_cloud():
     task = mk_task("t0", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0)
     assert decide(task, [], 0).platform is Platform.CLOUD
+
+
+def test_fastest_breaks_ties_edge_then_cloud_then_device():
+    assert fastest(6, 6, 6) is Platform.EDGE
+    assert fastest(7, 6, 6) is Platform.EDGE
+    assert fastest(6, 6, 7) is Platform.CLOUD
+    assert fastest(6, 6, None) is Platform.CLOUD
+    assert fastest(6, 7, 6) is Platform.EDGE
+    assert fastest(5, 6, 6) is Platform.MOBILE
+    assert fastest(5, 6, None) is Platform.MOBILE
 
 
 def test_upload_override_shifts_ready_time():

@@ -1,0 +1,67 @@
+"""Golden report digests: refactors must leave every report byte unchanged.
+
+Each case replays one small seeded trace and pins the sha256 of the
+report's JSON file followed by its CSV file.  A change that alters a
+report on purpose must say why and update the digest here; a refactor
+must not touch this table at all.
+"""
+
+import hashlib
+
+import pytest
+
+from echo_sched.objectsync import SyncParams
+from echo_sched.sim import SimConfig, run
+from echo_sched.traceio import MixSpec, generate
+
+TRACE_N, TRACE_LAM, TRACE_SEED = 400, 8.0, 3
+
+GOLDEN = {
+    ("end-only", 0):
+        "bc3b48858c95a92e64e61cb7e93da2cc06e3743fd380911118047ade9411c1ca",
+    ("end-only", 4):
+        "041570ad878ba1e2a0f2af55b2e4bd2f013ddeee6c3fe409efcf028337412e4e",
+    ("cloud-always", 0):
+        "871d0dd2eade8a29039a1c0d32d3d78b031eb88c2219a0417360e22705cc9c1d",
+    ("cloud-always", 4):
+        "e32bce322f5eb3fce81a2c92a1ce5ea59f2a162c0e6d7912e067f8f3b90c7c48",
+    ("thinkair", 0):
+        "d44306ad6625f3028e149eea4a73b80f0710f057c687b4a3e613a508a3ec8133",
+    ("thinkair", 4):
+        "e6724d9f9a871f2d81bc774b8b75f1dcf0b2592cfa4a414471bc5b74a59210e5",
+    ("mcloud", 0):
+        "c8ffee095939b0c808367fd2653857785a940902356335e30540f7ea79f21ec5",
+    ("mcloud", 4):
+        "d74b3b27c1d80c3d09534464722a045981bb953980eab4604da1d6f9ff6b2ec9",
+    ("echo", 0):
+        "a554203dfdc68be849b4bb8a5ad21e66aab8ee0f609b8f3817d6a517593f0dec",
+    ("echo", 4):
+        "2f7c61a93a0006b6889f48ade8cff7aa7f86f61365f18909ab193796064d59c5",
+    ("echo", "delay+noise+rtt"):
+        "8b74c4445c58546b550e7c96a5ef120c80f231f43ab3f236c86a71b456bea88c",
+}
+
+
+def _config(policy: str, variant) -> SimConfig:
+    if variant == "delay+noise+rtt":
+        return SimConfig(num_vms=4, lam=TRACE_LAM, seed=5,
+                         provision_delay=20_000, estimate_noise=0.3,
+                         sync=SyncParams(rtt_us=15_000, change_fraction=0.1))
+    return SimConfig(num_vms=variant, lam=TRACE_LAM)
+
+
+def report_digest(policy: str, config: SimConfig, tmp_path) -> str:
+    trace = generate(TRACE_N, TRACE_LAM, MixSpec.preset("mix-1"), TRACE_SEED)
+    report = run(trace, policy, config)
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    report.write_json(json_path)
+    report.write_csv(csv_path)
+    return hashlib.sha256(json_path.read_bytes()
+                          + csv_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("policy,variant", list(GOLDEN),
+                         ids=[f"{p}-{v}" for p, v in GOLDEN])
+def test_report_bytes_match_golden_digest(policy, variant, tmp_path):
+    digest = report_digest(policy, _config(policy, variant), tmp_path)
+    assert digest == GOLDEN[(policy, variant)]

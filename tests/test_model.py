@@ -62,6 +62,13 @@ def test_profile_rejects_bool_duration():
                     down_edge=0, up_cloud=0, down_cloud=0)
 
 
+def test_profile_rejects_zero_edge_run():
+    # a zero-work chunk can be neither queued nor executed on a VM
+    with pytest.raises(TraceError, match="r_edge must be > 0"):
+        mk_profile(r_edge=0.0)
+    assert mk_profile(r_edge=0.000001).r_edge == 1
+
+
 def test_task_rejects_negative_arrival():
     with pytest.raises(TraceError, match="arrival"):
         mk_task("t0", arrival=-2.0)

@@ -1,4 +1,4 @@
-"""Delta codec wire format, lazy shipping, sync ledger, transfer accounting."""
+"""Delta codec wire format, lazy shipping, transfer accounting."""
 
 import hashlib
 import random
@@ -11,10 +11,8 @@ from echo_sched.objectsync import (
     DEFAULT_BLOCK,
     DELTA_HEADER_BUDGET,
     DigestMismatch,
-    LinkCounters,
     ObjectRecord,
     SyncError,
-    SyncLedger,
     SyncParams,
     TaskObjectSet,
     TransferAccountant,
@@ -22,8 +20,6 @@ from echo_sched.objectsync import (
     diff_encode,
     eager_bytes,
     lazy_bytes,
-    link_name,
-    propagate_edge_cloud,
 )
 
 # wire format, restated independently of the codec:
@@ -193,99 +189,6 @@ def test_object_set_validation():
         ObjectRecord("a", 0, b"")
     with pytest.raises(ValueError, match="proxy_header"):
         lazy_bytes(TaskObjectSet(objects=((rec("a", 10), True),)), 0)
-
-
-# ---------------------------------------------------------------- ledger
-
-
-def test_link_names():
-    assert link_name("mobile", "edge") == "mobile-edge"
-    assert link_name("cloud", "edge") == "edge-cloud"
-    with pytest.raises(ValueError):
-        link_name("mobile", "mobile")
-
-
-def test_push_charges_full_then_delta_then_nothing():
-    ledger = SyncLedger()
-    v1 = rec("doc", 10240, version=1)
-    ledger.seed("mobile", v1)
-    charged = ledger.push(v1, "mobile", "edge")
-    assert charged == 10240
-    assert ledger.push(v1, "mobile", "edge") == 0  # already current
-
-    payload = bytearray(v1.payload)
-    payload[2048:3072] = b"\xff" * 1024
-    v2 = ObjectRecord("doc", 2, bytes(payload))
-    charged = ledger.push(v2, "mobile", "edge")
-    assert charged < 10240 // 4  # a delta, not a resend
-    assert ledger.cached("edge", "doc").version == 2
-
-    counters = ledger.counters["mobile-edge"]
-    assert counters.payload_bytes == 10240
-    assert counters.delta_bytes == charged
-    assert counters.total == 10240 + charged
-
-
-def test_push_rejects_stale_version():
-    ledger = SyncLedger()
-    v2 = rec("doc", 128, version=2)
-    ledger.seed("mobile", v2)
-    ledger.push(v2, "mobile", "edge")
-    with pytest.raises(SyncError, match="stale"):
-        ledger.push(rec("doc", 120, version=1), "mobile", "edge")
-    with pytest.raises(SyncError, match="regression"):
-        ledger.seed("edge", rec("doc", 120, version=1))
-
-
-def test_propagate_edge_cloud_moves_the_fresher_copy():
-    ledger = SyncLedger()
-    base = bytes(range(256)) * 40
-    v1 = ObjectRecord("doc", 1, base)
-    for endpoint in ("mobile", "edge", "cloud"):
-        ledger.seed(endpoint, v1)
-
-    changed = bytearray(base)
-    changed[2048:3072] = b"\xee" * 1024
-    v2 = ObjectRecord("doc", 2, bytes(changed))
-    uplink = ledger.push(v2, "mobile", "edge")
-    assert uplink == 1101  # COPY + 1KB INSERT + COPY, as framed above
-
-    backhaul = propagate_edge_cloud(ledger, "doc")
-    assert backhaul == 1101  # same delta, edge-cloud link
-    assert ledger.counters["edge-cloud"].delta_bytes == 1101
-    assert propagate_edge_cloud(ledger, "doc") == 0
-    assert ledger.cached("cloud", "doc").version == 2
-
-    with pytest.raises(SyncError, match="unknown"):
-        propagate_edge_cloud(ledger, "ghost")
-
-
-def test_propagate_pulls_from_cloud_when_it_is_fresher():
-    ledger = SyncLedger()
-    ledger.seed("cloud", rec("doc", 512, version=3))
-    ledger.seed("edge", rec("doc", 500, version=1))
-    assert propagate_edge_cloud(ledger, "doc") > 0
-    assert ledger.cached("edge", "doc").version == 3
-
-
-def test_ledger_counters_conserve_bytes():
-    rng = random.Random(17)
-    ledger = SyncLedger()
-    charged = 0
-    proxied = 0
-    for i in range(40):
-        version = 1 + i // 10
-        payload = rng.randbytes(rng.randrange(0, 8192))
-        record = ObjectRecord(f"o{i % 6}", version, payload)
-        held = ledger.cached("mobile", record.object_id)
-        if held is not None and held.version > version:
-            continue
-        ledger.seed("mobile", record)
-        charged += ledger.push(record, "mobile", "edge")
-        proxied += ledger.record_proxies("mobile", "edge", 4, 64)
-    counters = ledger.counters["mobile-edge"]
-    assert counters.total == charged + proxied
-    assert counters.proxy_bytes == proxied
 
 
 # ------------------------------------------------------------ accountant

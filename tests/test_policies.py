@@ -59,6 +59,7 @@ def test_thinkair_compares_cloud_to_device_only():
     tie = mk_task("t2", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                   down_cloud=1.0)
     assert policy.decide(tie, [], 0).platform is Platform.MOBILE
+    assert policy.decide(tie, [VmQueue(0)], 0).platform is Platform.MOBILE
 
 
 def test_thinkair_never_touches_edge_queues():
@@ -115,6 +116,22 @@ def test_mcloud_ignores_contention_and_overshoots():
     # the deadline-aware engine would have sent this task to the cloud
     # (6s) rather than promise what the queue cannot deliver
     assert completion > sec(6)
+
+
+def test_mcloud_shares_the_engine_tie_order():
+    # mcloud shares the engine's argmin: edge beats an equal cloud, and
+    # the cloud beats an equal device
+    mcloud = build_policy("mcloud")
+    edge_cloud = mk_task("ec", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
+                         down_cloud=1.0, up_edge=1.0, r_edge=4.0,
+                         down_edge=1.0)
+    assert mcloud.decide(edge_cloud, [VmQueue(0)], 0).platform is Platform.EDGE
+    cloud_mobile = mk_task("cm", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
+                           down_cloud=1.0, up_edge=1.0, r_edge=9.0,
+                           down_edge=1.0)
+    for queues in ([VmQueue(0)], []):
+        decision = mcloud.decide(cloud_mobile, queues, 0)
+        assert decision.platform is Platform.CLOUD
 
 
 def test_echo_policy_wraps_the_decision_engine():

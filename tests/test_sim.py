@@ -8,7 +8,8 @@ import pytest
 
 from echo_sched.model import (CostProfile, Decision, Platform, Task, TraceError,
                               to_seconds)
-from echo_sched.policies import POLICY_NAMES
+from echo_sched.policies import (POLICY_NAMES, BestEffortEdgePolicy,
+                                 DeadlineAwareEdgePolicy)
 from echo_sched.sim import (
     CSV_COLUMNS,
     EnergyParams,
@@ -191,6 +192,42 @@ def test_echo_moves_fewer_bytes_than_eager_policies():
     assert echo.aggregates["bytes_up"] < eager.aggregates["bytes_up"]
     assert echo.aggregates["backhaul_bytes"] > 0
     assert eager.aggregates["backhaul_bytes"] == 0
+
+
+class _EchoVariant(DeadlineAwareEdgePolicy):
+    name = "echo-variant"
+
+
+class _EagerPolicyNamedEcho(BestEffortEdgePolicy):
+    name = "echo"
+
+
+def _bytes_up(report) -> list[int]:
+    return [r.bytes_up for r in report.records]
+
+
+def _transfer_trace():
+    return generate(n=120, lam=2.0, mix=MixSpec.preset("mix-1"), seed=9)
+
+
+def test_lazy_transfer_follows_the_policy_not_its_name():
+    trace, config = _transfer_trace(), SimConfig(num_vms=4)
+    echo = run(trace, "echo", config)
+    assert _bytes_up(echo) != _bytes_up(run(trace, "mcloud", config))
+    variant = run(trace, _EchoVariant(), config)
+    assert variant.policy == "echo-variant"
+    assert _bytes_up(variant) == _bytes_up(echo)
+    assert variant.aggregates == echo.aggregates
+
+
+def test_eager_transfer_follows_the_policy_not_its_name():
+    trace, config = _transfer_trace(), SimConfig(num_vms=4)
+    eager = run(trace, "mcloud", config)
+    assert _bytes_up(eager) != _bytes_up(run(trace, "echo", config))
+    impostor = run(trace, _EagerPolicyNamedEcho(), config)
+    assert impostor.policy == "echo"
+    assert _bytes_up(impostor) == _bytes_up(eager)
+    assert impostor.aggregates == eager.aggregates
 
 
 def test_provision_delay_shifts_edge_ready_times():

@@ -8,6 +8,7 @@ at the edges (CLI flags, report aggregates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,7 +17,10 @@ US_PER_SECOND = 1_000_000
 
 def from_seconds(value: float) -> int:
     """Convert seconds to integer microseconds (rounded to nearest)."""
-    return round(value * US_PER_SECOND)
+    us = value * US_PER_SECOND
+    if not math.isfinite(us):
+        raise ValueError(f"{value!r} s is not a finite microsecond count")
+    return round(us)
 
 
 def to_seconds(us: int) -> float:

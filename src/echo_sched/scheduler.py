@@ -19,6 +19,7 @@ VM idle ahead of an unready head-of-queue.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import Segment, Task
@@ -68,7 +69,9 @@ class VmQueue:
     and `_tail` the packed end of the last chunk, or None after a commit
     until horizon() repacks.  advance() keeps `_tail` valid because it
     executes the packing rule itself (on an emptied queue it is at most
-    `now`), and append_fifo() extends it in O(1).
+    `now`), and append_fifo() extends it in O(1).  The same cached tail
+    prices trial_insert()'s tail append, so a trial that preempts nobody
+    packs nothing.
     """
 
     __slots__ = ("vm_index", "now", "version", "_chunks", "_entries",
@@ -118,13 +121,13 @@ class VmQueue:
         """Time by which all currently queued work will have executed."""
         tail = self._tail
         if tail is None:
-            ends, _ = _pack(self._chunks, self._entries, self.now, None)
+            ends, _ = _pack(self._chunks, self._entries, self.now)
             tail = self._tail = ends[-1] if ends else self.now
         return tail if tail > self.now else self.now
 
     def schedule(self) -> list[Segment]:
         """The pending schedule as absolute-time segments."""
-        ends, _ = _pack(self._chunks, self._entries, self.now, None)
+        ends, _ = _pack(self._chunks, self._entries, self.now)
         return [Segment(tid, w, e - w, e)
                 for (tid, w), e in zip(self._chunks, ends)]
 
@@ -197,23 +200,22 @@ class VmQueue:
 def _pack(chunks: list[tuple[str, int]],
           entries: dict[str, _TaskEntry],
           now: int,
-          extra_ready: dict[str, int] | None
+          new_id: str | None = None,
+          new_ready: int = 0
           ) -> tuple[list[int], dict[str, int]]:
     """Pack chunks contiguously from `now`, honouring per-task ready times.
 
     A chunk starts at its task's ready time or at the previous chunk's
-    end, whichever is later.  Returns the end of every chunk (its start is
-    its end minus its work) and every task's execution end, the end of its
-    last chunk.
+    end, whichever is later; chunks of `new_id`, a task not yet in
+    `entries`, are ready at `new_ready`.  Returns the end of every chunk
+    (its start is its end minus its work) and every task's execution end,
+    the end of its last chunk.
     """
     chunk_ends: list[int] = []
     task_ends: dict[str, int] = {}
     cursor = now
     for tid, w in chunks:
-        if extra_ready is not None and tid in extra_ready:
-            ready = extra_ready[tid]
-        else:
-            ready = entries[tid].ready
+        ready = new_ready if tid == new_id else entries[tid].ready
         cursor = (ready if ready > cursor else cursor) + w
         chunk_ends.append(cursor)
         task_ends[tid] = cursor
@@ -223,8 +225,6 @@ def _pack(chunks: list[tuple[str, int]],
 def _merge_adjacent(chunks: list[tuple[str, int]]) -> list[tuple[str, int]]:
     merged: list[tuple[str, int]] = []
     for tid, w in chunks:
-        if w == 0:
-            continue
         if merged and merged[-1][0] == tid:
             merged[-1] = (tid, merged[-1][1] + w)
         else:
@@ -284,10 +284,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         raise SchedulerError(f"task {task.id!r} already on vm {queue.vm_index}")
     work = task.profile.r_edge
     entries = queue._entries
-    new_ready = {task.id: ready}
-
     original = queue._chunks
-    _, old_ends = _pack(original, entries, now, None)
 
     # SRTF scan: first queued task with more remaining work than the newcomer.
     insert_at: int | None = None
@@ -302,31 +299,31 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
             break
 
     repair_iterations = 0
-    if insert_at is None:
-        candidate = list(original)
-        candidate.append((task.id, work))
-    else:
-        candidate, repair_iterations = _repair(
-            original, entries, now, new_ready, task.id, work, insert_at,
+    candidate = new_ends = None
+    if insert_at is not None:
+        candidate, new_ends, repair_iterations = _repair(
+            original, entries, now, task.id, ready, work, insert_at,
             queue.vm_index)
-        if candidate is None:
-            # Preempting here cannot be repaired; appending at the tail
-            # delays nobody and is therefore always admissible.
-            candidate = list(original)
-            candidate.append((task.id, work))
-
-    candidate = _merge_adjacent(candidate)
-    _, new_ends = _pack(candidate, entries, now, new_ready)
-
     delay = 0
-    for tid, end in old_ends.items():
-        inflicted = new_ends[tid] - end
-        if inflicted < 0:
-            raise SchedulerError(
-                f"insertion of {task.id!r} pulled {tid!r} earlier on vm "
-                f"{queue.vm_index}; schedule corrupted")
-        delay += inflicted
-    completion = new_ends[task.id]
+    if candidate is None:
+        # Nothing to preempt, or preempting here cannot be repaired: a tail
+        # append delays nobody and is therefore always admissible.
+        candidate_chunks = (*original, (task.id, work))
+        horizon = queue.horizon()
+        completion = (ready if ready > horizon else horizon) + work
+    else:
+        # Every chunk has positive work, so merging adjacent chunks of one
+        # task moves no end: the repair's task ends price the merged list.
+        candidate_chunks = tuple(_merge_adjacent(candidate))
+        _, old_ends = _pack(original, entries, now)
+        for tid, end in old_ends.items():
+            inflicted = new_ends[tid] - end
+            if inflicted < 0:
+                raise SchedulerError(
+                    f"insertion of {task.id!r} pulled {tid!r} earlier on vm "
+                    f"{queue.vm_index}; schedule corrupted")
+            delay += inflicted
+        completion = new_ends[task.id]
     delta_t = (completion - task.arrival) + delay
 
     return TrialInsertion(
@@ -334,7 +331,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         delta_t=delta_t,
         candidate_completion=completion,
         repair_iterations=repair_iterations,
-        candidate_chunks=tuple(candidate),
+        candidate_chunks=candidate_chunks,
         task_id=task.id,
         ready=ready,
         deadline=deadline,
@@ -347,26 +344,28 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
 def _repair(original: list[tuple[str, int]],
             entries: dict[str, _TaskEntry],
             now: int,
-            new_ready: dict[str, int],
             new_id: str,
+            new_ready: int,
             work: int,
             insert_at: int,
-            vm_index: int) -> tuple[list[tuple[str, int]] | None, int]:
+            vm_index: int
+            ) -> tuple[list[tuple[str, int]] | None, dict[str, int] | None, int]:
     """Insert the newcomer at insert_at and repair deadline violations.
 
-    Each round finds the first admitted task past its deadline (in queue
-    order), pins it to finish exactly at its deadline by evicting
-    just-enough of the latest-scheduled movable work before its final
-    chunk, and carries the evicted work forward as the next round's
-    insertion.  Pinned tasks and the violator's own chunks are never
-    evicted, so a pinned task can only ever finish earlier, and every
-    round pins a distinct task: the loop terminates.  Returns
-    (None, rounds) when a round has nothing movable left to evict or no
-    eviction amount lands the violator exactly on its deadline; the
+    Each round packs the candidate once, finds the first admitted task
+    past its deadline (in queue order), pins it to finish exactly at its
+    deadline by evicting just-enough of the latest-scheduled movable work
+    before its final chunk, and carries the evicted work forward as the
+    next round's insertion.  Pinned tasks and the violator's own chunks
+    are never evicted, so a pinned task can only ever finish earlier, and
+    every round pins a distinct task: the loop terminates.  Returns
+    (candidate, task ends, rounds), the ends being the final round's pack,
+    or (None, None, rounds) when a round has nothing movable left to evict
+    or no eviction amount lands the violator exactly on its deadline; the
     caller falls back to a tail append then.
     """
     candidate = list(original)
-    pending: list[tuple[str, int]] | None = [(new_id, work)]
+    pending = [(new_id, work)]
     position = insert_at
     # Work at chunk indexes below the floor is frozen: it belongs to tasks
     # already pinned at their deadlines (or scheduled before them), and
@@ -376,10 +375,9 @@ def _repair(original: list[tuple[str, int]],
     pinned: set[str] = set()
     rounds = 0
     guard = len(entries) + _REPAIR_SLACK
-    while pending is not None:
+    while True:
         candidate[position:position] = pending
-        pending = None
-        _, ends = _pack(candidate, entries, now, new_ready)
+        chunk_ends, ends = _pack(candidate, entries, now, new_id, new_ready)
         # The newcomer is exempt: its own lateness is an admission matter
         # for the caller, not a repair matter.  Every admitted task is
         # re-checked each round: an insertion can delay a task whose last
@@ -396,7 +394,7 @@ def _repair(original: list[tuple[str, int]],
                 violator = tid
                 break
         if violator is None:
-            break
+            return candidate, ends, rounds
         rounds += 1
         if rounds > guard:
             raise SchedulerError(
@@ -404,65 +402,54 @@ def _repair(original: list[tuple[str, int]],
         limit = entries[violator].deadline
         assert limit is not None
         ready_v = entries[violator].ready
+        end = ends[violator]
+        # Every chunk has positive work, so chunk ends strictly increase and
+        # the violator's last chunk is the one that ends at its task end.
+        last = bisect_left(chunk_ends, end)
+        # The walk evicts only at or after its source, which only moves
+        # backwards, so the round's chunk ends stay exact below the source.
+        # `tail` is the violator's work from the source's successor to
+        # `last`: everything in between is the violator's, since the walk
+        # picks the latest movable chunk.
+        tail = candidate[last][1]
         evicted: list[tuple[str, int]] = []
-        feasible = True
-        while True:
-            chunk_ends, _ = _pack(candidate, entries, now, new_ready)
-            last = _last_index_of(candidate, violator)
-            overshoot = chunk_ends[last] - limit
-            if overshoot <= 0:
-                break
-            source = None
-            for idx in range(last - 1, floor - 1, -1):
-                if candidate[idx][0] != violator:
-                    source = idx
-                    break
-            if source is None:
-                feasible = False
-                break
+        source = last - 1
+        while end > limit:
+            while source >= floor and candidate[source][0] == violator:
+                tail += candidate[source][1]
+                source -= 1
+            if source < floor:
+                return None, None, rounds
             tid, w = candidate[source]
-            # Everything between the source and the violator's last chunk
-            # belongs to the violator (the walk picks the latest movable
-            # chunk), so shrinking the source by `take` moves the violator's
-            # end earlier by exactly min(take, source_end - ready_v): the
+            # Shrinking the source by `take` moves the violator's end
+            # earlier by exactly min(take, source_end - ready_v): the
             # violator's ready time caps how far its chain can slide.
-            source_end = chunk_ends[source]
-            tail = sum(candidate[i][1] for i in range(source + 1, last + 1))
             before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
-            shift_full = chunk_ends[last] - full_end
-            if shift_full <= 0:
+            if full_end >= end:
                 # The chain is gated at the violator's ready time; no
                 # eviction anywhere earlier can pull its end in.
-                feasible = False
-                break
-            if shift_full <= overshoot:
+                return None, None, rounds
+            if full_end >= limit:
                 del candidate[source]
-                evicted.insert(0, (tid, w))
+                evicted.append((tid, w))
+                last -= 1
+                source -= 1
+                end = full_end
                 continue
-            # A partial eviction can land the violator exactly on its
+            # A partial eviction lands the violator exactly on its
             # deadline; removing the whole chunk would also collapse the
             # idle gap in front of it and overshoot the correction.
-            take = source_end - (limit - tail)
+            take = chunk_ends[source] - (limit - tail)
             if take >= w or take <= 0:
-                feasible = False
-                break
+                return None, None, rounds
             candidate[source] = (tid, w - take)
-            evicted.insert(0, (tid, take))
-        if not feasible:
-            return None, rounds
+            evicted.append((tid, take))
+            break
         pinned.add(violator)
+        evicted.reverse()
         pending = _merge_adjacent(evicted)
-        floor = _last_index_of(candidate, violator) + 1
-        position = floor
-    return candidate, rounds
-
-
-def _last_index_of(chunks: list[tuple[str, int]], task_id: str) -> int:
-    for idx in range(len(chunks) - 1, -1, -1):
-        if chunks[idx][0] == task_id:
-            return idx
-    raise SchedulerError(f"task {task_id!r} lost from candidate queue")
+        floor = position = last + 1
 
 
 def best_vm(queues: list[VmQueue], task: Task, ready: int,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,8 +68,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.num_vms <= 1024:
             raise ValueError(f"num_vms must be in [0, 1024], got {self.num_vms}")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not math.isfinite(self.estimate_noise):
+            raise ValueError(f"estimate_noise must be finite, got {self.estimate_noise}")
         if self.provision_delay < 0:
             raise ValueError("provision_delay must be >= 0")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -221,8 +222,8 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
     """Synthesize a trace of n tasks with Exponential(lam) inter-arrivals."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     apps, links = _load_profiles(profile_config)
     for name in list(mix.interactive_weights) + list(mix.compute_weights):
         if name not in apps:

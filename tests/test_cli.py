@@ -136,6 +136,25 @@ def test_compare_rejects_unknown_policy(tmp_path):
     assert "warp" in result.stderr
 
 
+def test_non_finite_numbers_are_usage_errors(tmp_path):
+    # Unchecked, inf overflows the microsecond conversion (exit 1), a NaN
+    # label writes invalid JSON, and an infinite rate puts every arrival at 0.
+    trace = make_trace(tmp_path)
+    simulate = ("simulate", "--trace", trace, "--policy", "echo", "--vms", 1,
+                "--out", tmp_path / "r")
+    for args in (
+        (*simulate, "--provision-delay", "inf"),
+        (*simulate, "--estimate-noise", "inf"),
+        (*simulate, "--lambda-label", "nan"),
+        ("gen-traces", "--n", 5, "--lambda", "inf", "--out", tmp_path / "t.jsonl"),
+    ):
+        result = run_cli(*args, cwd=tmp_path)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr.startswith("error:"), result.stderr
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_report_summarizes_existing_json(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("simulate", "--trace", trace, "--policy", "echo",

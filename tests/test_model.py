@@ -25,6 +25,9 @@ def test_from_seconds_examples():
     assert from_seconds(1.0) == 1_000_000
     assert from_seconds(0.0015) == 1_500
     assert from_seconds(0) == 0
+    for bad in (float("inf"), float("-inf"), float("nan"), 1e308):
+        with pytest.raises(ValueError, match="finite"):
+            from_seconds(bad)
 
 
 def test_to_seconds_round_trip():

@@ -144,6 +144,47 @@ def test_trial_repair_respects_ready_gap():
     assert trial.delta_t == sec(24)  # 17s response + 7s inflicted on b
 
 
+def test_trial_repair_evicts_whole_chunks_then_part_of_one():
+    # a (9s, ready at 2s, due 16s) runs behind b (6s, best effort).  A 4s
+    # newcomer ready at 4s goes first and pushes a to 23s.  Evicting all of
+    # b pulls a in to 17s; 1s of the newcomer then lands a on 16s.  The
+    # second eviction is priced from the same pack as the first.
+    q = VmQueue(0)
+    admit(q, "a", sec(9), sec(2), sec(16))
+    admit(q, "b", sec(6), 0, None)
+    assert q.future_chunks == (("b", sec(6)), ("a", sec(9)))
+    trial = trial_insert(q, task_us("n", sec(4)), sec(4), sec(9))
+    assert trial.candidate_chunks == (
+        ("n", sec(3)), ("a", sec(9)), ("n", sec(1)), ("b", sec(6)))
+    assert trial.repair_iterations == 1
+    ends = oracle_ends(trial.candidate_queue)
+    assert ends == {"n": sec(17), "a": sec(16), "b": sec(23)}
+    assert trial.candidate_completion == sec(17)
+    assert trial.delta_t == sec(35)  # 17s response + 1s on a + 17s on b
+
+
+def test_trial_repair_slides_every_chunk_of_the_violator():
+    # b is split around a: (b 1s, a 4s, b 2s) at 6s.  A 2s newcomer ready
+    # at 9s goes first, and b, the first late task, ends at 18s, not 13s.
+    # Evicting a pulls b in to 14s; b's first chunk then slides with its
+    # last, so evicting 1s of the newcomer lands b on 13s.  Round two finds
+    # a at 18s (due 11s) with only that 1s movable behind pinned b, and the
+    # trial falls back to a tail append.
+    q = VmQueue(0)
+    q.advance(sec(3))
+    admit(q, "a", sec(7), sec(3), sec(11))
+    q.advance(sec(6))
+    admit(q, "b", sec(3), sec(6), sec(13))
+    assert q.future_chunks == (("b", sec(1)), ("a", sec(4)), ("b", sec(2)))
+    trial = trial_insert(q, task_us("n", sec(2), arrival=sec(6)), sec(9),
+                         sec(11))
+    assert trial.candidate_chunks == (
+        ("b", sec(1)), ("a", sec(4)), ("b", sec(2)), ("n", sec(2)))
+    assert trial.repair_iterations == 2
+    assert trial.candidate_completion == sec(15)
+    assert trial.delta_t == sec(9)
+
+
 def test_trial_falls_back_to_append_when_unrepairable():
     # same shape, tighter deadline: the required eviction would have to
     # straddle the newcomer's ready gap, so no amount lands b exactly on
@@ -304,8 +345,11 @@ def test_advance_same_instant_is_a_no_op():
 # ------------------------------------------------------------- properties
 
 
-def _random_session(seed: int, n_vms: int, n_tasks: int):
-    """Drive trial/commit sequences with ms-granular random tasks.
+def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
+    """Drive trial/commit sequences with random tasks.
+
+    Every drawn duration is a multiple of `unit` microseconds, and the tick
+    oracle steps by `unit`.
 
     Admission mimics the decision engine: commit only when the newcomer
     itself meets its deadline.  Checks, per trial: growth equals direct
@@ -320,16 +364,16 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
     deadlines: dict[str, int] = {}
     admitted = 0
     for i in range(n_tasks):
-        now += rng.randrange(0, 1500) * 1000
+        now += rng.randrange(0, 1500) * unit
         for q in queues:
             q.advance(now)
             assert_totals(q)
-        work = rng.randrange(1, 4000) * 1000
-        ready = now + rng.randrange(0, 400) * 1000
+        work = rng.randrange(1, 4000) * unit
+        ready = now + rng.randrange(0, 400) * unit
         if rng.random() < 0.2:
             deadline = None
         else:
-            deadline = ready + work + rng.randrange(0, 2500) * 1000
+            deadline = ready + work + rng.randrange(0, 2500) * unit
         task = task_us(f"t{i}", work, arrival=now)
 
         trials = [trial_insert(q, task, ready, deadline) for q in queues]
@@ -358,7 +402,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int):
             ready_map = {tid: cand.ready_of(tid)
                          for tid, _ in trial.candidate_chunks}
             assert step_completions(trial.candidate_chunks, ready_map,
-                                    q.now) == new
+                                    q.now, dt=unit) == new
             assert trial.repair_iterations <= len(set(
                 tid for tid, _ in q.future_chunks)) + 2
 
@@ -396,6 +440,15 @@ def test_random_sessions_hold_invariants():
     for seed in range(25):
         admitted += _random_session(seed, 1 + seed % 3, 12)
     assert admitted > 150  # the loop must actually exercise admissions
+
+
+def test_random_sessions_off_the_millisecond_grid():
+    # Microsecond-granular durations: partial evictions land off the
+    # millisecond grid and are still checked against the tick oracle.
+    admitted = 0
+    for seed in range(1000, 1200):
+        admitted += _random_session(seed, 1 + seed % 3, 12, unit=1)
+    assert admitted > 1200
 
 
 def test_long_session_soak():
@@ -457,19 +510,24 @@ class _Unwalkable(list):
         raise AssertionError("pending chunks walked")
 
 
+def count_packs(monkeypatch) -> list[int]:
+    """Count scheduler._pack calls in the returned one-item list."""
+    calls = [0]
+    pack = scheduler._pack
+
+    def counting_pack(*args):
+        calls[0] += 1
+        return pack(*args)
+
+    monkeypatch.setattr(scheduler, "_pack", counting_pack)
+    return calls
+
+
 def test_fifo_appends_never_repack(monkeypatch):
     # A queue fed only by append_fifo, as mcloud feeds it, answers load()
     # and horizon() from its running totals: summing or packing its chunks
     # made each mcloud arrival cost O(queue length).
-    calls = 0
-    pack = scheduler._pack
-
-    def counting_pack(*args):
-        nonlocal calls
-        calls += 1
-        return pack(*args)
-
-    monkeypatch.setattr(scheduler, "_pack", counting_pack)
+    calls = count_packs(monkeypatch)
     q = VmQueue(0)
     for i in range(1000):
         end = q.append_fifo(task_us(f"t{i}", sec(1)), q.now)
@@ -479,13 +537,56 @@ def test_fifo_appends_never_repack(monkeypatch):
             q._chunks = _Unwalkable(q._chunks)
     assert q.horizon() == sec(1000)
     assert q.load() == sec(750)
-    assert calls == 0
+    assert calls[0] == 0
 
     # A commit may reorder the queue: the next horizon() repacks once and
     # caches the result.
     q._chunks = q._chunks[:]
     admit(q, "n", sec(1), q.now, None)
-    calls = 0
+    calls[0] = 0
     assert q.horizon() == sec(1001)
     assert q.horizon() == sec(1001)
-    assert calls == 1
+    assert calls[0] == 1
+
+
+def test_trials_pack_once_per_repair_round(monkeypatch):
+    # A repair round packs its candidate once and runs its whole eviction
+    # walk on that pack, and the final round's ends price the trial: r
+    # rounds cost r + 1 packs, plus one for the queue's own ends.  A tail
+    # append delays nobody and is priced from the queue's cached tail.
+    calls = count_packs(monkeypatch)
+
+    q = VmQueue(0)
+    admit(q, "j1", sec(10), 0, sec(12))
+    q.advance(sec(2))
+    calls[0] = 0
+    trial = trial_insert(q, task_us("n", sec(3), arrival=sec(2)), sec(2), None)
+    assert trial.repair_iterations == 1
+    assert calls[0] == 3
+
+    q = VmQueue(0)
+    admit(q, "j0", sec(4), 0, sec(5))
+    admit(q, "j1", sec(5), 0, sec(10))
+    calls[0] = 0
+    trial = trial_insert(q, task_us("n", sec(2)), 0, None)
+    assert trial.candidate_chunks == (
+        ("n", sec(1)), ("j0", sec(4)), ("j1", sec(5)), ("n", sec(1)))
+    assert trial.repair_iterations == 2
+    assert calls[0] == 4
+
+    assert q.horizon() == sec(9)  # caches the tail after the commits
+    calls[0] = 0
+    trial = trial_insert(q, task_us("m", sec(20)), 0, None)
+    assert trial.candidate_chunks[-1] == ("m", sec(20))
+    assert trial.candidate_completion == sec(29)
+    assert calls[0] == 0
+
+    # A repair that fails after r rounds costs r packs before the append.
+    q = VmQueue(0)
+    admit(q, "b", sec(6), 0, sec(12))
+    assert q.horizon() == sec(6)
+    calls[0] = 0
+    trial = trial_insert(q, task_us("n", sec(5)), sec(6), None)
+    assert trial.candidate_chunks == (("b", sec(6)), ("n", sec(5)))
+    assert trial.repair_iterations == 1
+    assert calls[0] == 1

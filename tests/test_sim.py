@@ -279,5 +279,10 @@ def test_config_validation():
         SimConfig(num_vms=1, lam=0.0)
     with pytest.raises(ValueError):
         SimConfig(num_vms=1, provision_delay=-1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="lambda"):
+            SimConfig(num_vms=1, lam=bad)
+        with pytest.raises(ValueError, match="estimate_noise"):
+            SimConfig(num_vms=1, estimate_noise=bad)
     with pytest.raises(ValueError):
         EnergyParams(p_idle=-0.1)

@@ -93,8 +93,9 @@ def test_generate_is_deterministic():
 def test_generate_validates_arguments():
     with pytest.raises(ValueError):
         generate(n=0, lam=1.0, mix=MixSpec.preset("mix-1"), seed=0)
-    with pytest.raises(ValueError):
-        generate(n=5, lam=0.0, mix=MixSpec.preset("mix-1"), seed=0)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            generate(n=5, lam=lam, mix=MixSpec.preset("mix-1"), seed=0)
     with pytest.raises(ValueError):
         generate(n=5, lam=1.0, seed=0,
                  mix=MixSpec(0.5, interactive_weights={"nope": 1.0}))

@@ -15,8 +15,9 @@ from .objectsync import (EagerTransfer, ObjectRecord, SyncParams,
                          TaskObjectSet, TransferAccountant, diff_apply,
                          diff_encode, lazy_bytes)
 from .policies import POLICY_NAMES, build_policy
-from .scheduler import (SchedulerError, StaleTrialError, TrialInsertion,
-                        VmQueue, best_vm, commit, trial_insert)
+from .scheduler import (LateTrialError, SchedulerError, StaleTrialError,
+                        TrialInsertion, VmQueue, best_vm, commit,
+                        trial_insert)
 from .sim import (EnergyParams, SimConfig, SimReport, energy_of,
                   oracle_step_sim, run)
 from .traceio import MixSpec, TraceFile, generate, load, save
@@ -25,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostProfile", "Deadline", "Decision", "EagerTransfer", "EnergyParams",
-    "MixSpec", "ObjectRecord", "POLICY_NAMES", "Platform",
+    "LateTrialError", "MixSpec", "ObjectRecord", "POLICY_NAMES", "Platform",
     "PlatformEstimate", "SchedulerError", "Segment", "SimConfig",
     "SimReport", "StaleTrialError", "SyncParams", "Task", "TaskObjectSet",
     "TraceError", "TraceFile", "TransferAccountant", "TrialInsertion",

@@ -17,6 +17,19 @@ Delta wire format, little-endian:
     op COPY   = tag 0x00 | source offset u64 | length u32
     op INSERT = tag 0x01 | length u32 | raw bytes
 
+The encoder keys each window by its byte sum and its weighted byte sum
+(weights block..1), as in rsync's weak checksum.  Only the block-aligned
+windows of the old payload are keyed, one reshaped row per block.  Every
+window of the new payload is keyed in uint32 wrap-around arithmetic, which
+is exact because the key keeps 32 bits of each sum.  A bitmap on the low
+20 bits of the block keys discards almost every window before a 64-bit
+key is built; the survivors are matched exactly.  Scanning left to right,
+the first window that verifies byte-for-byte against a block becomes a
+COPY, extended by comparing doubling strides, and the bytes between COPYs
+become INSERTs.  The keying, prefilter and stride compare set only speed
+and memory: which windows match, in which order, and so every delta byte,
+stay fixed (tests/test_golden.py pins a digest of the deltas).
+
 Applying a delta against the wrong base payload fails the digest check.
 For any inputs, len(delta) <= len(new) + DELTA_HEADER_BUDGET as long as
 block_size >= MIN_BLOCK (each COPY op's 13 bytes displaces at least
@@ -57,24 +70,80 @@ class DigestMismatch(SyncError):
 # delta codec
 
 
-def _window_keys(data: np.ndarray, block: int) -> np.ndarray:
-    """Weak hash of every length-`block` window, vectorized.
+_PREFILTER_BITS = 20
+_PREFILTER_MASK = np.uint32((1 << _PREFILTER_BITS) - 1)
 
-    Combines the window byte sum with a position-weighted sum, both exact,
-    into one uint64 key.  Collisions are harmless: matches are verified
-    byte-for-byte before use.
+
+def _window_sums(data: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both halves of the weak hash of every length-`block` window.
+
+    The byte sum and the weighted sum sum((block - k) * x[j + k]), each
+    modulo 2**32, as uint32 arrays: unsigned wrap-around keeps both exact
+    at any payload length, and the key keeps only these low 32 bits.  The
+    weighted sum is a difference of the cumulative byte sums' own
+    cumulative sums, so no per-byte product is formed.
     """
-    x = data.astype(np.int64)
-    csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(x)))
+    csum = np.zeros(len(data) + 1, dtype=np.uint32)
+    np.cumsum(data, dtype=np.uint32, out=csum[1:])
     wsum = csum[block:] - csum[:-block]
-    weighted = np.concatenate(
-        (np.zeros(1, dtype=np.int64),
-         np.cumsum(np.arange(len(x), dtype=np.int64) * x)))
-    wpos = weighted[block:] - weighted[:-block]
-    j = np.arange(len(wsum), dtype=np.int64)
-    s2 = (block + j) * wsum - wpos
-    return (wsum.astype(np.uint64) << np.uint64(32)) ^ \
-        (s2.astype(np.uint64) & np.uint64(0xFFFFFFFF))
+    ccsum = np.cumsum(csum, dtype=np.uint32)
+    s2 = ccsum[block:] - ccsum[:-block]
+    s2 -= np.uint32(block) * csum[:-block]
+    return wsum, s2
+
+
+def _key(wsum: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """One uint64 key per window: byte sum high, weighted sum low."""
+    return (wsum.astype(np.uint64) << np.uint64(32)) | s2.astype(np.uint64)
+
+
+def _block_keys(data: np.ndarray, block: int) -> np.ndarray:
+    """Keys of the block-aligned windows only, one row per block.
+
+    The weighted sum of a window does not depend on where it starts, so
+    one product with the weights block..1 keys every row at once.
+    Collisions are harmless: matches are verified byte-for-byte.
+    """
+    rows = data[:len(data) - len(data) % block].reshape(-1, block)
+    weights = np.arange(block, 0, -1, dtype=np.uint32)
+    return _key(rows.sum(axis=1, dtype=np.uint32), rows @ weights)
+
+
+def _candidates(data: np.ndarray, block: int,
+                block_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and key of every window of `data` whose key is a block key.
+
+    A bitmap on the low key bits rejects almost every window before any
+    64-bit key is built; the survivors are then tested exactly.
+    """
+    wsum, s2 = _window_sums(data, block)
+    bitmap = np.zeros(1 << _PREFILTER_BITS, dtype=bool)
+    bitmap[(block_keys & np.uint64(_PREFILTER_MASK)).astype(np.intp)] = True
+    starts = np.flatnonzero(bitmap[s2 & _PREFILTER_MASK])
+    keys = _key(wsum[starts], s2[starts])
+    hit = np.isin(keys, block_keys)
+    return starts[hit], keys[hit]
+
+
+def _match_length(old: bytes, new: bytes, off: int, cand: int,
+                  verified: int) -> int:
+    """Bytes that old[off:] and new[cand:] share, given the first `verified`.
+
+    Compares in doubling strides, so a match costs time in its own length
+    and only the stride that differs is scanned byte by byte.
+    """
+    limit = min(len(old) - off, len(new) - cand)
+    length = stride = verified
+    while length < limit:
+        step = min(stride, limit - length)
+        a, b = off + length, cand + length
+        if old[a:a + step] != new[b:b + step]:
+            differ = np.frombuffer(old, np.uint8, step, a) != \
+                np.frombuffer(new, np.uint8, step, b)
+            return length + int(differ.argmax())
+        length += step
+        stride += stride
+    return limit
 
 
 def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> bytes:
@@ -98,41 +167,33 @@ def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> byte
 
 
 def _encode_blocks(old: bytes, new: bytes, block: int) -> list[bytes]:
-    old_arr = np.frombuffer(old, dtype=np.uint8)
-    new_arr = np.frombuffer(new, dtype=np.uint8)
-    old_keys_all = _window_keys(old_arr, block)
-    block_starts = np.arange(0, len(old) - block + 1, block)
-    block_keys = old_keys_all[block_starts]
-
+    block_keys = _block_keys(np.frombuffer(old, dtype=np.uint8), block)
     table: dict[int, list[int]] = {}
-    for start, key in zip(block_starts.tolist(), block_keys.tolist()):
-        table.setdefault(key, []).append(start)
+    for start, key in enumerate(block_keys.tolist()):
+        table.setdefault(key, []).append(start * block)
 
-    new_keys = _window_keys(new_arr, block)
-    candidates = np.nonzero(np.isin(new_keys, block_keys))[0]
-
+    starts, keys = _candidates(np.frombuffer(new, dtype=np.uint8), block,
+                               block_keys)
     ops: list[bytes] = []
     lit_start = 0
-    pos = 0
-    for cand in candidates.tolist():
-        if cand < pos:
+    i = 0
+    while i < len(starts):
+        cand = int(starts[i])
+        for off in table[int(keys[i])]:
+            if old[off:off + block] == new[cand:cand + block]:
+                break
+        else:
+            i += 1
             continue
-        for off in table.get(int(new_keys[cand]), ()):
-            if old[off:off + block] != new[cand:cand + block]:
-                continue
-            # extend the verified match as far as both sides agree
-            limit = min(len(old) - off, len(new) - cand)
-            tail_old = old_arr[off + block:off + limit]
-            tail_new = new_arr[cand + block:cand + limit]
-            diff = np.nonzero(tail_old != tail_new)[0]
-            length = block + (int(diff[0]) if diff.size else len(tail_old))
-            if cand > lit_start:
-                chunk = new[lit_start:cand]
-                ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
-            ops.append(_COPY.pack(_OP_COPY, off, length))
-            pos = cand + length
-            lit_start = pos
-            break
+        # extend the verified match as far as both sides agree
+        length = _match_length(old, new, off, cand, block)
+        if cand > lit_start:
+            chunk = new[lit_start:cand]
+            ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
+        ops.append(_COPY.pack(_OP_COPY, off, length))
+        lit_start = cand + length
+        # candidates inside the match are spent
+        i = int(starts.searchsorted(lit_start))
     if lit_start < len(new):
         chunk = new[lit_start:]
         ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)

@@ -37,6 +37,10 @@ class StaleTrialError(SchedulerError):
     """The queue changed between trial_insert and commit."""
 
 
+class LateTrialError(SchedulerError):
+    """The trial's newcomer would end past its own deadline."""
+
+
 class _TaskEntry:
     """Mutable bookkeeping for one task admitted to a VM queue."""
 
@@ -275,7 +279,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     deadline repair, and eviction follow the preemption-constrained SRTF
     rules described in the module docstring.  If the queue is so saturated
     that even the newcomer's own work lands past its deadline, the late
-    placement is returned as-is: rejecting it is the decision engine's job.
+    placement is returned as-is for pricing, and commit() refuses it.
     """
     now = queue.now
     if ready < now:
@@ -467,7 +471,12 @@ def best_vm(queues: list[VmQueue], task: Task, ready: int,
 
 
 def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
-    """Make a trial real.  Refuses trials computed against a stale queue."""
+    """Make a trial real.
+
+    Refuses trials computed against a stale queue, and trials whose
+    newcomer would end past its own deadline: repair pins every admitted
+    task at its deadline, so a late one would corrupt later trials.
+    """
     queue = queues[vm_index]
     if trial.vm_index != vm_index or trial._source is not queue:
         raise StaleTrialError(
@@ -476,6 +485,10 @@ def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
         raise StaleTrialError(
             f"vm {vm_index} changed since the trial (version "
             f"{trial._source_version} -> {queue.version})")
+    if trial.deadline is not None and trial.candidate_completion > trial.deadline:
+        raise LateTrialError(
+            f"{trial.task_id!r} would end at {trial.candidate_completion}, "
+            f"past its deadline {trial.deadline} on vm {vm_index}")
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
                                                trial.work)

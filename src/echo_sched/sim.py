@@ -46,8 +46,9 @@ class EnergyParams:
 
     def __post_init__(self) -> None:
         for name in ("p_cpu_mobile", "p_net_mobile", "p_idle"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def scaled(self, factor: float) -> "EnergyParams":
         return EnergyParams(self.p_cpu_mobile * factor,

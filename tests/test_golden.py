@@ -1,16 +1,18 @@
-"""Golden report digests: refactors must leave every report byte unchanged.
+"""Golden digests: refactors must leave every report and delta byte unchanged.
 
-Each case replays one small seeded trace and pins the sha256 of the
-report's JSON file followed by its CSV file.  A change that alters a
-report on purpose must say why and update the digest here; a refactor
-must not touch this table at all.
+Each report case replays one small seeded trace and pins the sha256 of
+the report's JSON file followed by its CSV file.  The codec case pins the
+sha256 of every delta diff_encode emits over a seeded corpus of payload
+pairs.  A change that alters a report or a delta on purpose must say why
+and update the digest here; a refactor must not touch these tables at all.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from echo_sched.objectsync import SyncParams
+from echo_sched.objectsync import SyncParams, diff_apply, diff_encode
 from echo_sched.sim import SimConfig, run
 from echo_sched.traceio import MixSpec, generate
 
@@ -65,3 +67,80 @@ def report_digest(policy: str, config: SimConfig, tmp_path) -> str:
 def test_report_bytes_match_golden_digest(policy, variant, tmp_path):
     digest = report_digest(policy, _config(policy, variant), tmp_path)
     assert digest == GOLDEN[(policy, variant)]
+
+
+# Codec corpus: every payload fill x block size x two lengths that are not
+# block multiples, each under every edit kind of the benchmark's codec
+# workload at SyncParams' default 25% change.
+CODEC_SEED = 6
+CODEC_BLOCKS = (64, 100, 1024, 4096)
+CODEC_FILLS = ("random", "zeros", "two-symbol", "repeated-block")
+CODEC_EDITS = ("identical", "blocks", "insert", "delete", "prepend", "append",
+               "rotate")
+CODEC_GOLDEN = (
+    "46257fdb66b20a34a011fe3ef7141f8882bc791c8e918bcbfd40feea2c2ccfff")
+
+
+def _fill(rng: random.Random, fill: str, n: int, block: int) -> bytes:
+    if fill == "random":
+        return rng.randbytes(n)
+    if fill == "zeros":
+        return bytes(n)
+    if fill == "two-symbol":
+        return rng.randbytes(n).translate(b"ab" * 128)
+    unit = rng.randbytes(block)
+    return (unit * (n // block + 1))[:n]
+
+
+def _edit(rng: random.Random, old: bytes, kind: str, block: int,
+          fraction: float) -> bytes:
+    n = len(old)
+    span = max(1, int(n * fraction))
+    if kind == "identical":
+        return old
+    if kind == "blocks":
+        new = bytearray(old)
+        blocks = max(1, n // block)
+        for b in rng.sample(range(blocks), max(1, round(blocks * fraction))):
+            lo = b * block
+            hi = min(lo + block, n)
+            new[lo:hi] = rng.randbytes(hi - lo)
+        return bytes(new)
+    if kind == "insert":
+        cut = rng.randrange(n + 1)
+        return old[:cut] + rng.randbytes(span) + old[cut:]
+    if kind == "delete":
+        lo = rng.randrange(n - span + 1)
+        return old[:lo] + old[lo + span:]
+    if kind == "prepend":
+        return rng.randbytes(span) + old
+    if kind == "append":
+        return old + rng.randbytes(span)
+    assert kind == "rotate"
+    return old[span:] + old[:span]
+
+
+def codec_corpus():
+    rng = random.Random(CODEC_SEED)
+    fraction = SyncParams().change_fraction
+    for fill in CODEC_FILLS:
+        for block in CODEC_BLOCKS:
+            for lo, hi in ((1, 4), (4, 48)):
+                n = rng.randrange(lo * block, hi * block)
+                if n % block == 0:
+                    n += 1
+                old = _fill(rng, fill, n, block)
+                for kind in CODEC_EDITS:
+                    yield old, _edit(rng, old, kind, block, fraction), block
+
+
+def test_codec_deltas_match_golden_digest():
+    h = hashlib.sha256()
+    pairs = 0
+    for old, new, block in codec_corpus():
+        delta = diff_encode(old, new, block)
+        assert diff_apply(old, delta) == new
+        h.update(delta)
+        pairs += 1
+    assert pairs == len(CODEC_FILLS) * len(CODEC_BLOCKS) * 2 * len(CODEC_EDITS)
+    assert h.hexdigest() == CODEC_GOLDEN

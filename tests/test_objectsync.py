@@ -4,8 +4,10 @@ import hashlib
 import random
 import struct
 
+import numpy as np
 import pytest
 
+from echo_sched import objectsync
 from echo_sched.model import CostProfile, Task
 from echo_sched.objectsync import (
     DEFAULT_BLOCK,
@@ -149,6 +151,120 @@ def test_apply_rejects_corrupt_frames():
                            DEFAULT_BLOCK, 1) + COPY.pack(0, 4000, 500)
     with pytest.raises(SyncError):
         diff_apply(old, bad_copy)  # copy range beyond the base
+
+
+# ------------------------------------------------------------ encoder kernel
+
+
+def window_keys_int64(data: np.ndarray, block: int) -> np.ndarray:
+    """Reference weak hash of every window, from int64 prefix sums.
+
+    The key is the window byte sum in the high 32 bits and the low 32 bits
+    of the weighted sum sum((block - k) * x[j + k]) in the low 32 bits.
+    """
+    x = data.astype(np.int64)
+    csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(x)))
+    wsum = csum[block:] - csum[:-block]
+    weighted = np.concatenate(
+        (np.zeros(1, dtype=np.int64),
+         np.cumsum(np.arange(len(x), dtype=np.int64) * x)))
+    wpos = weighted[block:] - weighted[:-block]
+    j = np.arange(len(wsum), dtype=np.int64)
+    s2 = (block + j) * wsum - wpos
+    return (wsum.astype(np.uint64) << np.uint64(32)) ^ \
+        (s2.astype(np.uint64) & np.uint64(0xFFFFFFFF))
+
+
+def as_array(payload: bytes) -> np.ndarray:
+    return np.frombuffer(payload, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("block", [64, 1024])
+@pytest.mark.parametrize("fill", ["0xff", "random"])
+def test_uint32_window_sums_equal_the_int64_reference(fill, block):
+    # past 2**20 bytes the uint32 prefix sums behind the weighted sum wrap
+    # 2**32 many times over; the key must not notice
+    n = (1 << 20) + 4099
+    data = (np.full(n, 0xFF, dtype=np.uint8) if fill == "0xff"
+            else as_array(random.Random(block).randbytes(n)))
+    wsum, s2 = objectsync._window_sums(data, block)
+    assert wsum.dtype == s2.dtype == np.uint32
+    ref = window_keys_int64(data, block)
+    assert np.array_equal(wsum, ref >> np.uint64(32))
+    assert np.array_equal(s2, ref & np.uint64(0xFFFFFFFF))
+    assert np.array_equal(objectsync._block_keys(data, block),
+                          ref[::block][:n // block])
+
+
+def test_prefiltered_candidates_equal_isin_over_every_window():
+    rng = random.Random(7)
+    old = rng.randbytes(1 << 16)
+    two = rng.randbytes(1 << 16).translate(b"ab" * 128)
+    pairs = [
+        (old, old[:3000] + rng.randbytes(5000) + old[3000:]),
+        (old, rng.randbytes(1 << 16)),
+        (two, two[777:] + two[:777]),  # two symbols: keys collide often
+        (bytes(5000), bytes(7001)),
+    ]
+    for block in (64, 100, 1024):
+        for o, n in pairs:
+            block_keys = objectsync._block_keys(as_array(o), block)
+            starts, keys = objectsync._candidates(as_array(n), block,
+                                                  block_keys)
+            ref = window_keys_int64(as_array(n), block)
+            expect = np.flatnonzero(np.isin(ref, block_keys))
+            assert np.array_equal(starts, expect)
+            assert np.array_equal(keys, ref[expect])
+
+
+def test_match_length_on_and_around_stride_boundaries():
+    # block 64 verified, then strides of 64, 128, 256, ...: a match ends on
+    # a stride boundary at 128, 256, 512, 1024, ...
+    old = random.Random(12).randbytes(4096)
+    for end in (64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
+                2048, 4095):
+        new = old[:end] + bytes([old[end] ^ 0xFF]) + old[end + 1:]
+        assert objectsync._match_length(old, new, 0, 0, 64) == end
+    assert objectsync._match_length(old, old, 0, 0, 64) == 4096
+    assert objectsync._match_length(old, old[:3000], 0, 0, 64) == 3000
+    assert objectsync._match_length(old, b"xy" + old, 64, 66, 64) == 4032
+
+
+def flip(payload: bytes, at: int) -> bytes:
+    return payload[:at] + bytes([payload[at] ^ 0xFF]) + payload[at + 1:]
+
+
+OLD_1K = random.Random(11).randbytes(1024)
+OLD_1000 = OLD_1K[:1000]
+TAIL = bytes(range(100))
+
+
+@pytest.mark.parametrize("old,new,expected", [
+    # first match ends on the 256-byte stride boundary
+    (OLD_1K, flip(OLD_1K, 256),
+     [("copy", 0, 256), ("insert", 256, 320), ("copy", 320, 704)]),
+    (OLD_1K, flip(OLD_1K, 255),
+     [("copy", 0, 255), ("insert", 255, 256), ("copy", 256, 768)]),
+    (OLD_1K, flip(OLD_1K, 257),
+     [("copy", 0, 257), ("insert", 257, 320), ("copy", 320, 704)]),
+    (OLD_1K, flip(OLD_1K, 512),
+     [("copy", 0, 512), ("insert", 512, 576), ("copy", 576, 448)]),
+    # runs to the end of the old payload, on a boundary and off one
+    (OLD_1K, OLD_1K + TAIL, [("copy", 0, 1024), ("insert", 1024, 1124)]),
+    (OLD_1000, OLD_1000 + TAIL, [("copy", 0, 1000), ("insert", 1000, 1100)]),
+    # runs to the end of the new payload, and of both
+    (OLD_1K, OLD_1K[:700], [("copy", 0, 700)]),
+    (OLD_1K, OLD_1K[64:], [("copy", 64, 960)]),
+], ids=["flip-256", "flip-255", "flip-257", "flip-512", "old-ends-1024",
+        "old-ends-1000", "new-ends", "both-end"])
+def test_frozen_match_ends(old, new, expected):
+    delta = diff_encode(old, new, 64)
+    _, block, ops = parse_ops(delta)
+    assert block == 64
+    want = [op if op[0] == "copy" else ("insert", new[op[1]:op[2]])
+            for op in expected]
+    assert ops == want
+    assert diff_apply(old, delta) == new
 
 
 # ------------------------------------------------------------ object sets

@@ -12,6 +12,7 @@ import pytest
 from echo_sched import scheduler
 from echo_sched.model import CostProfile, Task
 from echo_sched.scheduler import (
+    LateTrialError,
     SchedulerError,
     StaleTrialError,
     VmQueue,
@@ -302,6 +303,30 @@ def test_commit_rejects_wrong_vm():
     trial = trial_insert(queues[0], task_us("a", sec(1)), 0, None)
     with pytest.raises(StaleTrialError):
         commit(queues, 1, trial)
+
+
+def test_commit_refuses_a_newcomer_past_its_own_deadline():
+    # Behind 5 s of work a 6 s task cannot meet an 8 s deadline.  Once
+    # committed anyway, repair pinned 'b' at 8 s and the next preempting
+    # trial raised "insertion of 'c' pulled 'b' earlier".
+    q = VmQueue(0)
+    admit(q, "a", sec(5), 0, None)
+    late = trial_insert(q, task_us("b", sec(6)), 0, sec(8))
+    assert late.candidate_completion == sec(11)
+    version = q.version
+    with pytest.raises(LateTrialError, match="'b'"):
+        commit([q], 0, late)
+    assert issubclass(LateTrialError, SchedulerError)
+    assert q.version == version and q.future_chunks == (("a", sec(5)),)
+    admit(q, "c", sec(1), 0, None)
+    assert oracle_ends(q) == {"c": sec(1), "a": sec(6)}
+
+
+def test_commit_accepts_a_newcomer_ending_on_its_deadline():
+    q = VmQueue(0)
+    admit(q, "a", sec(5), 0, None)
+    trial = admit(q, "b", sec(6), 0, sec(11))
+    assert trial.candidate_completion == sec(11) == oracle_ends(q)["b"]
 
 
 # ---------------------------------------------------------------- advance

@@ -286,3 +286,11 @@ def test_config_validation():
             SimConfig(num_vms=1, estimate_noise=bad)
     with pytest.raises(ValueError):
         EnergyParams(p_idle=-0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["p_cpu_mobile", "p_net_mobile", "p_idle"])
+def test_energy_params_reject_non_finite_powers(name, bad):
+    # a NaN power once reached the report as "energy_j": NaN, invalid JSON
+    with pytest.raises(ValueError, match=name):
+        EnergyParams(**{name: bad})

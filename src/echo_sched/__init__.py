@@ -18,8 +18,7 @@ from .policies import POLICY_NAMES, build_policy
 from .scheduler import (LateTrialError, SchedulerError, StaleTrialError,
                         TrialInsertion, VmQueue, best_vm, commit,
                         trial_insert)
-from .sim import (EnergyParams, SimConfig, SimReport, energy_of,
-                  oracle_step_sim, run)
+from .sim import EnergyParams, SimConfig, SimReport, energy_of, run
 from .traceio import MixSpec, TraceFile, generate, load, save
 
 __version__ = "0.1.0"
@@ -32,6 +31,6 @@ __all__ = [
     "TraceError", "TraceFile", "TransferAccountant", "TrialInsertion",
     "VmQueue", "best_vm", "build_policy", "commit", "decide", "diff_apply",
     "diff_encode", "energy_of", "estimate", "evaluate", "from_seconds",
-    "generate", "lazy_bytes", "load", "oracle_step_sim", "run", "save",
+    "generate", "lazy_bytes", "load", "run", "save",
     "to_seconds", "trial_insert", "validate_trace",
 ]

@@ -31,6 +31,12 @@ class TraceError(ValueError):
     """A trace violates a hard invariant (duplicate ids, negative durations)."""
 
 
+def check_int(name: str, value: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an int (not a bool)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_duration(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TraceError(f"{name} must be an integer microsecond count, got {value!r}")

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_int
+
 MAGIC = b"ODLT"
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sH32sII")
@@ -150,6 +152,8 @@ def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> byte
     """Delta from `old` to `new` such that diff_apply(old, delta) == new."""
     if block_size < MIN_BLOCK:
         raise ValueError(f"block_size must be >= {MIN_BLOCK}")
+    if block_size > 0xFFFFFFFF:
+        raise ValueError("block_size must fit the u32 wire field")
     ops: list[bytes] = []
 
     if old == new:
@@ -318,6 +322,8 @@ class SyncParams:
     rtt_us: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("proxy_header", "objects_per_task", "rtt_us"):
+            check_int(name, getattr(self, name))
         if self.proxy_header <= 0 or self.objects_per_task < 1:
             raise ValueError("need a positive proxy header and >= 1 object per task")
         for name in ("args_share", "referred_share", "change_fraction"):

@@ -1,4 +1,4 @@
-"""Trace-driven simulator, energy model, reports, and the step oracle.
+"""Trace-driven simulator, energy model, and reports.
 
 run() replays a trace through one policy.  Decisions happen only at
 arrivals: each arrival first advances every VM's clock to the arrival
@@ -7,12 +7,6 @@ at their closed-form times; edge tasks complete when their scheduled work
 finishes plus the result download leg.  Everything is integer-microsecond
 arithmetic, so a run is deterministic and reports are byte-identical
 across repeats.
-
-oracle_step_sim() re-derives every VM's occupancy by ticking a fixed dt
-through the committed schedules instead of using the scheduler's packed
-times.  It shares the decision flow with run() (the decisions are what is
-being realized) but executes them with independent bookkeeping; tests
-assert the two reports are identical.
 """
 
 from __future__ import annotations
@@ -24,7 +18,8 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import Decision, Platform, Task, to_seconds, validate_trace
+from .model import (Decision, Platform, Task, check_int, to_seconds,
+                    validate_trace)
 from .objectsync import SyncParams, TransferCost
 from .policies import build_policy
 from .scheduler import VmQueue
@@ -67,6 +62,8 @@ class SimConfig:
     estimate_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        check_int("num_vms", self.num_vms)
+        check_int("provision_delay", self.provision_delay)
         if not 0 <= self.num_vms <= 1024:
             raise ValueError(f"num_vms must be in [0, 1024], got {self.num_vms}")
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
@@ -209,35 +206,6 @@ _NO_TRANSFER = TransferCost(0, 0, 0, 0)
 
 def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     """Replay a trace through a policy; deterministic for fixed inputs."""
-    return _simulate(trace, policy, config, stepper=None)
-
-
-def oracle_step_sim(trace: TraceFile | list[Task], policy, config: SimConfig,
-                    dt: int) -> SimReport:
-    """run(), but edge executions are re-derived by dt-stepping.
-
-    Requires every arrival, profile duration, provision delay, and derived
-    ready instant to be a multiple of dt; raises SimError otherwise.  Used
-    only by tests.
-    """
-    if dt <= 0:
-        raise SimError(f"dt must be positive, got {dt}")
-    tasks = trace.tasks if isinstance(trace, TraceFile) else trace
-    for task in tasks:
-        p = task.profile
-        values = (task.arrival, p.r_mobile, p.r_edge, p.r_cloud, p.up_edge,
-                  p.down_edge, p.up_cloud, p.down_cloud)
-        for value in values:
-            if value % dt:
-                raise SimError(
-                    f"dt={dt} does not divide a cost of task {task.id!r}: {value}")
-    if config.provision_delay % dt:
-        raise SimError(f"dt={dt} does not divide provision_delay")
-    return _simulate(trace, policy, config, stepper=dt)
-
-
-def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
-              stepper: int | None) -> SimReport:
     tasks = trace.tasks if isinstance(trace, TraceFile) else trace
     # Decisions are keyed by task id: a duplicate would silently overwrite
     # the first task's outcome, so reject the trace as the CLI loader does.
@@ -249,43 +217,25 @@ def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
     transfer = policy.transfer_model(config.sync)
 
     queues = [VmQueue(i) for i in range(config.num_vms)]
-    steppers = ([_SteppedVm(dt=stepper) for _ in queues]
-                if stepper is not None else None)
     ordered = sorted(tasks, key=lambda t: t.arrival)
 
     decisions: dict[str, Decision] = {}
     costs: dict[str, TransferCost] = {}
-    clock = 0
     for task in ordered:
         now = task.arrival
-        if steppers is not None:
-            for svm in steppers:
-                svm.step_until(clock, now)
         for queue in queues:
             queue.advance(now)
-        clock = now
-
-        upload = transfer.upload_us(task)
-        if stepper is not None and upload % stepper:
-            raise SimError(
-                f"dt={stepper} does not divide the effective upload "
-                f"of task {task.id!r}: {upload}")
-        decision = policy.decide(task, queues, now, edge_upload_time=upload)
+        decision = policy.decide(task, queues, now,
+                                 edge_upload_time=transfer.upload_us(task))
         costs[task.id] = (_NO_TRANSFER if decision.platform is Platform.MOBILE
                           else transfer.commit(task))
         decisions[task.id] = decision
-        if steppers is not None and decision.platform is Platform.EDGE:
-            assert decision.vm_index is not None
-            steppers[decision.vm_index].resync(queues[decision.vm_index])
 
     for queue in queues:
         queue.advance(queue.horizon())
-    if steppers is not None:
-        for svm in steppers:
-            svm.drain(clock)
 
     records = [_realize(task, decisions[task.id], costs[task.id], queues,
-                        steppers, config)
+                        config)
                for task in ordered]
     backhaul = sum(cost.backhaul_bytes for cost in costs.values())
     return SimReport(policy=policy.name,
@@ -295,8 +245,7 @@ def _simulate(trace: TraceFile | list[Task], policy, config: SimConfig,
 
 
 def _realize(task: Task, decision: Decision, cost: TransferCost,
-             queues: list[VmQueue], steppers: list["_SteppedVm"] | None,
-             config: SimConfig) -> TaskRecord:
+             queues: list[VmQueue], config: SimConfig) -> TaskRecord:
     p = task.profile
     arrival = task.arrival
     vm_index = decision.vm_index
@@ -311,16 +260,10 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
         waiting = 0
     else:
         assert vm_index is not None
-        if steppers is None:
-            queue = queues[vm_index]
-            ready = queue.ready_of(task.id)
-            start_opt = queue.first_start_of(task.id)
-            exec_end_opt = queue.completion_of(task.id)
-        else:
-            svm = steppers[vm_index]
-            ready = svm.ready[task.id]
-            start_opt = svm.first.get(task.id)
-            exec_end_opt = svm.done.get(task.id)
+        queue = queues[vm_index]
+        ready = queue.ready_of(task.id)
+        start_opt = queue.first_start_of(task.id)
+        exec_end_opt = queue.completion_of(task.id)
         if start_opt is None or exec_end_opt is None:
             raise SimError(f"edge task {task.id!r} never finished executing")
         start = start_opt
@@ -408,64 +351,3 @@ def _config_dict(policy_name: str, config: SimConfig, task_count: int) -> dict:
             "rtt_us": config.sync.rtt_us,
         },
     }
-
-
-# --------------------------------------------------------------------------
-# the per-tick VM used by oracle_step_sim
-
-
-class _SteppedVm:
-    """Ticks through one VM's committed schedule dt at a time.
-
-    State is rebuilt from the queue only at commit points (the schedule is
-    the scheduler's to decide); everything between commits, including when
-    each chunk runs, waits, finishes, is re-derived here one tick at a
-    time and cross-checked against run() by the tests.
-    """
-
-    def __init__(self, dt: int):
-        self.dt = dt
-        self.items: list[list] = []      # [task_id, remaining work] queue order
-        self.ready: dict[str, int] = {}
-        self.totals: dict[str, int] = {}
-        self.first: dict[str, int] = {}
-        self.done: dict[str, int] = {}
-
-    def resync(self, queue: VmQueue) -> None:
-        self.items = [[tid, w] for tid, w in queue.future_chunks]
-        for tid, _ in self.items:
-            if tid not in self.ready:
-                self.ready[tid] = queue.ready_of(tid)
-                self.totals[tid] = queue.remaining_work(tid)
-            if self.ready[tid] % self.dt:
-                raise SimError(
-                    f"dt={self.dt} does not divide ready time of {tid!r}")
-
-    def step_until(self, t_from: int, t_to: int) -> None:
-        t = t_from
-        dt = self.dt
-        items = self.items
-        while t < t_to:
-            while items and items[0][1] == 0:
-                items.pop(0)
-            if not items:
-                break
-            tid = items[0][0]
-            if self.ready[tid] <= t:
-                if tid not in self.first:
-                    self.first[tid] = t
-                items[0][1] -= dt
-                self.totals[tid] -= dt
-                t += dt
-                if self.totals[tid] == 0:
-                    if tid in self.done:
-                        raise SimError(f"task {tid!r} completed twice in oracle")
-                    self.done[tid] = t
-            else:
-                t += dt
-
-    def drain(self, t_from: int) -> None:
-        t = t_from
-        while any(rem for _, rem in self.items):
-            self.step_until(t, t + self.dt)
-            t += self.dt

@@ -1,9 +1,13 @@
-"""Shared test helpers: task builders and the tick-stepping oracle.
+"""Shared test helpers: task builders and the tick-stepping oracles.
 
 step_completions() re-derives per-task completion times of one VM's chunk
 schedule by walking a fixed-size clock tick by tick, never using the
 scheduler's packing arithmetic.  Scheduler and simulator tests freeze
 expected values against it.
+
+step_oracle_run() does the same for a whole simulation: it drives run()
+with a policy wrapper that ticks every VM between arrivals, then asserts
+that each edge record's realized times equal the ticked ones.
 
 cli_env() is the environment for a CLI child process, so that the child
 imports the same echo_sched as the test process.
@@ -15,7 +19,10 @@ import os
 from pathlib import Path
 
 import echo_sched
-from echo_sched.model import CostProfile, Task, from_seconds
+from echo_sched.model import CostProfile, Platform, Task, from_seconds
+from echo_sched.policies import build_policy
+from echo_sched.sim import SimConfig, SimReport, run
+from echo_sched.traceio import TraceFile
 
 SEC = from_seconds(1.0)
 
@@ -87,6 +94,141 @@ def step_completions(chunks, ready, now, dt=1000):
             left -= dt
         ends[tid] = t
     return ends
+
+
+class _SteppedVm:
+    """Ticks through one VM's committed schedule dt at a time.
+
+    State is rebuilt from the queue only at commit points (the schedule is
+    the scheduler's to decide); everything between commits, including when
+    each chunk runs, waits and finishes, is re-derived here one tick at a
+    time.
+    """
+
+    def __init__(self, dt: int):
+        self.dt = dt
+        self.items: list[list] = []      # [task_id, remaining work] queue order
+        self.ready: dict[str, int] = {}
+        self.totals: dict[str, int] = {}
+        self.first: dict[str, int] = {}
+        self.done: dict[str, int] = {}
+
+    def resync(self, queue) -> None:
+        self.items = [[tid, w] for tid, w in queue.future_chunks]
+        for tid, _ in self.items:
+            if tid not in self.ready:
+                self.ready[tid] = queue.ready_of(tid)
+                self.totals[tid] = queue.remaining_work(tid)
+            if self.ready[tid] % self.dt:
+                raise ValueError(
+                    f"dt={self.dt} does not divide ready time of {tid!r}")
+
+    def step_until(self, t_from: int, t_to: int) -> None:
+        t = t_from
+        dt = self.dt
+        items = self.items
+        while t < t_to:
+            while items and items[0][1] == 0:
+                items.pop(0)
+            if not items:
+                break
+            tid = items[0][0]
+            if self.ready[tid] <= t:
+                if tid not in self.first:
+                    self.first[tid] = t
+                items[0][1] -= dt
+                self.totals[tid] -= dt
+                t += dt
+                if self.totals[tid] == 0:
+                    assert tid not in self.done, f"{tid!r} completed twice"
+                    self.done[tid] = t
+            else:
+                t += dt
+
+    def drain(self, t_from: int) -> None:
+        t = t_from
+        while any(rem for _, rem in self.items):
+            self.step_until(t, t + self.dt)
+            t += self.dt
+
+
+class StepOracle:
+    """Policy wrapper that ticks every VM from one arrival to the next.
+
+    run() calls decide() once per arrival, after advancing its queues to
+    that instant.  The wrapper first ticks its own VMs up to the same
+    instant, then delegates; on an edge placement it resyncs the chosen
+    VM from the committed queue.
+    """
+
+    def __init__(self, inner, num_vms: int, dt: int):
+        self.inner = inner
+        self.name = inner.name
+        self.transfer_model = inner.transfer_model
+        self.dt = dt
+        self.vms = [_SteppedVm(dt) for _ in range(num_vms)]
+        self.clock = 0
+
+    def decide(self, task, queues, now, edge_upload_time=None):
+        for vm in self.vms:
+            vm.step_until(self.clock, now)
+        self.clock = now
+        if edge_upload_time % self.dt:
+            raise ValueError(f"dt={self.dt} does not divide the effective "
+                             f"upload of task {task.id!r}: {edge_upload_time}")
+        decision = self.inner.decide(task, queues, now,
+                                     edge_upload_time=edge_upload_time)
+        if decision.platform is Platform.EDGE:
+            self.vms[decision.vm_index].resync(queues[decision.vm_index])
+        return decision
+
+
+def step_oracle_run(trace, policy, config: SimConfig,
+                    dt: int = 1000) -> SimReport:
+    """run() with every edge execution re-derived by dt-stepping.
+
+    Every arrival, profile duration, provision delay, effective upload and
+    ready instant must be a multiple of dt (ValueError otherwise).  Asserts
+    that each edge record's ready, start, completion and waiting equal the
+    ticked values, that every edge task completed exactly once, and that
+    the wrapped run reports exactly what a plain run does.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    tasks = trace.tasks if isinstance(trace, TraceFile) else trace
+    for task in tasks:
+        p = task.profile
+        for value in (task.arrival, p.r_mobile, p.r_edge, p.r_cloud,
+                      p.up_edge, p.down_edge, p.up_cloud, p.down_cloud):
+            if value % dt:
+                raise ValueError(f"dt={dt} does not divide a cost of task "
+                                 f"{task.id!r}: {value}")
+    if config.provision_delay % dt:
+        raise ValueError(f"dt={dt} does not divide provision_delay")
+    inner = policy
+    if isinstance(policy, str):
+        inner = build_policy(policy, provision_delay=config.provision_delay,
+                             estimate_noise=config.estimate_noise,
+                             noise_seed=config.seed)
+    oracle = StepOracle(inner, config.num_vms, dt)
+    report = run(tasks, oracle, config)
+    for vm in oracle.vms:
+        vm.drain(oracle.clock)
+
+    profiles = {task.id: task.profile for task in tasks}
+    edge = [r for r in report.records if r.vm_index is not None]
+    for r in edge:
+        vm = oracle.vms[r.vm_index]
+        assert r.task_id in vm.done, f"{r.task_id!r} never finished"
+        end = vm.done[r.task_id]
+        p = profiles[r.task_id]
+        ticked = (vm.ready[r.task_id], vm.first[r.task_id],
+                  end + p.down_edge, end - vm.ready[r.task_id] - p.r_edge)
+        assert (r.ready, r.start, r.completion, r.waiting) == ticked, r.task_id
+    completed = sorted(tid for vm in oracle.vms for tid in vm.done)
+    assert completed == sorted(r.task_id for r in edge)
+    assert report.to_dict() == run(tasks, policy, config).to_dict()
+    return report
 
 
 def schedule_ends(queue) -> dict[str, int]:

@@ -80,6 +80,16 @@ def test_from_empty_ships_full_payload():
     assert diff_apply(b"", delta) == new
 
 
+def test_block_size_must_fit_its_wire_field():
+    # the header stores block_size as u32; a larger one once escaped as
+    # struct.error from the header pack
+    with pytest.raises(ValueError, match="block_size"):
+        diff_encode(b"a" * 10, b"b" * 10, 2**32)
+    delta = diff_encode(b"a" * 10, b"b" * 10, 2**32 - 1)
+    assert HEADER.unpack_from(delta, 0)[3] == 2**32 - 1
+    assert diff_apply(b"a" * 10, delta) == b"b" * 10
+
+
 def test_small_change_below_block_size():
     delta = diff_encode(b"AAAABBBB", b"AAAACCCC")
     assert diff_apply(b"AAAABBBB", delta) == b"AAAACCCC"

@@ -8,19 +8,18 @@ import pytest
 
 from echo_sched.model import (CostProfile, Decision, Platform, Task, TraceError,
                               to_seconds)
+from echo_sched.objectsync import SyncParams
 from echo_sched.policies import (POLICY_NAMES, BestEffortEdgePolicy,
                                  DeadlineAwareEdgePolicy)
 from echo_sched.sim import (
     CSV_COLUMNS,
     EnergyParams,
     SimConfig,
-    SimError,
     energy_of,
-    oracle_step_sim,
     run,
 )
 from echo_sched.traceio import MixSpec, generate
-from conftest import mk_task, sec
+from conftest import mk_task, sec, step_oracle_run
 
 
 def ms_trace(seed: int, n: int, heavy=False) -> list[Task]:
@@ -69,7 +68,7 @@ def test_two_task_scenario_realizes_exactly():
     assert a["mean_waiting_s"] == 5.0
     assert a["platform_counts"] == {"mobile": 0, "edge": 2, "cloud": 0}
 
-    oracle = oracle_step_sim([j1, nw], "echo", SimConfig(num_vms=1), dt=1000)
+    oracle = step_oracle_run([j1, nw], "echo", SimConfig(num_vms=1), dt=1000)
     assert oracle.to_dict() == report.to_dict()
 
 
@@ -112,16 +111,16 @@ def test_oracle_step_sim_matches_closed_form():
     for policy in ("echo", "mcloud"):
         config = SimConfig(num_vms=2)
         fast = run(tasks, policy, config)
-        slow = oracle_step_sim(tasks, policy, config, dt=1000)
+        slow = step_oracle_run(tasks, policy, config, dt=1000)
         assert fast.to_dict() == slow.to_dict(), policy
 
 
 def test_oracle_step_sim_rejects_indivisible_costs():
     task = mk_task("t0", r_edge=0.0005)  # 500 us
-    with pytest.raises(SimError, match="does not divide"):
-        oracle_step_sim([task], "echo", SimConfig(num_vms=1), dt=1000)
-    with pytest.raises(SimError, match="dt"):
-        oracle_step_sim([task], "echo", SimConfig(num_vms=1), dt=0)
+    with pytest.raises(ValueError, match="does not divide"):
+        step_oracle_run([task], "echo", SimConfig(num_vms=1), dt=1000)
+    with pytest.raises(ValueError, match="dt"):
+        step_oracle_run([task], "echo", SimConfig(num_vms=1), dt=0)
 
 
 def test_energy_local_execution():
@@ -171,7 +170,7 @@ def test_run_rejects_duplicate_task_ids(policy, num_vms):
     with pytest.raises(TraceError, match="duplicate task id 'x'"):
         run([first, second], policy, config)
     with pytest.raises(TraceError, match="duplicate task id 'x'"):
-        oracle_step_sim([first, second], policy, config, dt=1000)
+        step_oracle_run([first, second], policy, config, dt=1000)
 
 
 def test_noisy_estimates_still_meet_shifted_deadlines():
@@ -286,6 +285,16 @@ def test_config_validation():
             SimConfig(num_vms=1, estimate_noise=bad)
     with pytest.raises(ValueError):
         EnergyParams(p_idle=-0.1)
+    # counts and microseconds must be ints: 0.5 us of provision delay once
+    # reached the report as "ready": 500000.5, num_vms=True as true
+    for name in ("num_vms", "provision_delay"):
+        for bad in (0.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match=name):
+                SimConfig(**{"num_vms": 1, name: bad})
+    for name in ("rtt_us", "proxy_header", "objects_per_task"):
+        for bad in (0.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match=name):
+                SyncParams(**{name: bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -72,6 +72,13 @@ class CostProfile:
     download_bytes: int = 0
 
     def __post_init__(self) -> None:
+        # Fast path for the common case; anything else (bool, int
+        # subclasses, bad values) takes the per-field checks below.
+        values = (self.r_mobile, self.r_edge, self.r_cloud, self.up_edge,
+                  self.down_edge, self.up_cloud, self.down_cloud,
+                  self.upload_bytes, self.download_bytes)
+        if set(map(type, values)) == {int} and min(values) >= 0 and self.r_edge:
+            return
         for name in ("r_mobile", "r_edge", "r_cloud", "up_edge",
                      "down_edge", "up_cloud", "down_cloud"):
             _check_duration(name, getattr(self, name))

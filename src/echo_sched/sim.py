@@ -64,10 +64,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_int("num_vms", self.num_vms)
         check_int("provision_delay", self.provision_delay)
+        check_int("seed", self.seed)
         if not 0 <= self.num_vms <= 1024:
             raise ValueError(f"num_vms must be in [0, 1024], got {self.num_vms}")
-        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if self.lam is not None:
+            if not isinstance(self.lam, (int, float)) or isinstance(self.lam, bool):
+                raise ValueError(f"lambda must be a real number, got {self.lam!r}")
+            if not (math.isfinite(self.lam) and self.lam > 0):
+                raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not math.isfinite(self.estimate_noise):
             raise ValueError(f"estimate_noise must be finite, got {self.estimate_noise}")
         if self.provision_delay < 0:
@@ -113,8 +117,23 @@ class SimReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        """Write to_dict() as sorted-key, 2-space-indented JSON.
+
+        The records are streamed one at a time through json's C encoder
+        (indent=2 forces the slower pure-Python one), framed so that the
+        bytes equal json.dumps(self.to_dict(), sort_keys=True, indent=2).
+        """
+        head = json.dumps({"aggregates": self.aggregates,
+                           "config": self.config,
+                           "policy": self.policy}, sort_keys=True, indent=2)
+        with open(path, "w") as fh:
+            fh.write(head[:-2] + ',\n  "tasks": [')  # reopen the closing "\n}"
+            sep = "\n"
+            for r in self.records:
+                fh.write(sep + "    {\n      " + _encode_record(vars(r))[1:-1]
+                         + "\n    }")
+                sep = ",\n"
+            fh.write("\n  ]\n}\n" if self.records else "]\n}\n")
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -151,6 +170,11 @@ class SimReport:
         lines.append(f"energy: {a['energy_j']:.4f} J")
         return "\n".join(lines)
 
+
+# A TaskRecord is a flat dict of scalars, so this item separator lays its
+# fields out exactly as indent=2 does at depth 2.
+_encode_record = json.JSONEncoder(sort_keys=True,
+                                  separators=(",\n      ", ": ")).encode
 
 CSV_COLUMNS = [
     "task_id", "user_id", "app", "arrival_us", "platform", "vm_index",

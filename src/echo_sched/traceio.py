@@ -17,6 +17,7 @@ import configparser
 import json
 import logging
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -75,15 +76,30 @@ class TraceFile:
 # serialization
 
 
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def save(trace: TraceFile, path: str | Path) -> None:
+    """Write the header line, then one line per task, streamed.
+
+    Lines go to a sibling temporary file that replaces `path` only once
+    every task has been encoded, so a task that cannot be encoded leaves
+    no truncated trace behind (load() would take it for a shorter one).
+    """
     path = Path(path)
     header = dict(trace.header)
     header.setdefault("schema", SCHEMA)
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for task in trace.tasks:
-        lines.append(json.dumps(_task_to_dict(task), sort_keys=True,
-                                separators=(",", ":")))
-    path.write_text("\n".join(lines) + "\n")
+    head = _encode_line(header)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(head + "\n")
+            for task in trace.tasks:
+                fh.write(_encode_line(_task_to_dict(task)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path: str | Path) -> TraceFile:

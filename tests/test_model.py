@@ -65,6 +65,29 @@ def test_profile_rejects_bool_duration():
                     down_edge=0, up_cloud=0, down_cloud=0)
 
 
+def test_profile_bool_refused_and_int_subclass_accepted():
+    # the exact-int fast path must not change what the per-field checks
+    # refuse or accept
+    fields = dict(r_mobile=5, r_edge=1, r_cloud=1, up_edge=0, down_edge=0,
+                  up_cloud=0, down_cloud=0, upload_bytes=0, download_bytes=0)
+    with pytest.raises(TraceError, match=r"^r_cloud must be an integer "
+                       r"microsecond count, got True$"):
+        CostProfile(**{**fields, "r_cloud": True})
+    with pytest.raises(TraceError, match=r"^download_bytes must be a "
+                       r"non-negative integer, got False$"):
+        CostProfile(**{**fields, "download_bytes": False})
+
+    class Micros(int):
+        pass
+
+    profile = CostProfile(**{name: Micros(v) for name, v in fields.items()})
+    assert profile == CostProfile(**fields)
+    with pytest.raises(TraceError, match="r_edge must be > 0"):
+        CostProfile(**{**fields, "r_edge": Micros(0)})
+    with pytest.raises(TraceError, match="upload_bytes must be a non-negative"):
+        CostProfile(**{**fields, "upload_bytes": -1})
+
+
 def test_profile_rejects_zero_edge_run():
     # a zero-work chunk can be neither queued nor executed on a VM
     with pytest.raises(TraceError, match="r_edge must be > 0"):

@@ -1,6 +1,8 @@
 """End-to-end simulation runs, realized timings, energy, aggregates."""
 
+import dataclasses
 import json
+import math
 import random
 import statistics
 
@@ -15,6 +17,8 @@ from echo_sched.sim import (
     CSV_COLUMNS,
     EnergyParams,
     SimConfig,
+    SimReport,
+    TaskRecord,
     energy_of,
     run,
 )
@@ -269,6 +273,64 @@ def test_summary_text_and_json_shape(tmp_path):
     assert data["aggregates"]["tasks"] == 25
 
 
+# Text the streamed writer must escape exactly as json.dumps does: a quote,
+# a backslash, control characters, non-ASCII, U+2028, and record framing.
+ODD_TEXT = ['q"uote', "back\\slash", "ctrl\x00\x1f\t\r", "caf\u00e9 \u2713",
+            "line\u2028sep", "},\n    {"]
+
+
+def reference_json(report: SimReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def odd_trace() -> list[Task]:
+    tasks = generate(n=30, lam=3.0, mix=MixSpec.preset("mix-2"), seed=5).tasks
+    k = len(ODD_TEXT)
+    return [dataclasses.replace(t, id=f"{ODD_TEXT[i % k]}{i}",
+                                user_id=ODD_TEXT[(i + 1) % k],
+                                app=ODD_TEXT[(i + 2) % k])
+            for i, t in enumerate(tasks)]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_write_json_bytes_equal_the_reference(tmp_path, policy):
+    report = run(odd_trace(), policy, SimConfig(num_vms=2, lam=3.0))
+    path = tmp_path / "report.json"
+    report.write_json(path)
+    assert path.read_text() == reference_json(report)
+    assert json.loads(path.read_text()) == report.to_dict()
+
+
+def test_write_json_with_no_records(tmp_path):
+    report = run([], "echo", SimConfig(num_vms=1))
+    path = tmp_path / "report.json"
+    report.write_json(path)
+    assert path.read_text() == reference_json(report)
+    assert '"tasks": []\n}\n' in path.read_text()
+
+
+def test_write_json_none_bool_and_non_finite_fields(tmp_path):
+    base = TaskRecord(task_id="a", user_id="u", app="x", arrival=0,
+                      platform="mobile", vm_index=None,
+                      predicted_completion=5, ready=0, start=0, completion=5,
+                      waiting=0, deadline=None, deadline_met=None,
+                      bytes_up=0, bytes_down=0, energy_j=0.5)
+    records = [
+        base,
+        dataclasses.replace(base, task_id="b", platform="edge:0", vm_index=0,
+                            deadline=7, deadline_met=True, energy_j=math.nan),
+        dataclasses.replace(base, task_id="c", deadline=1, deadline_met=False,
+                            energy_j=math.inf),
+        dataclasses.replace(base, task_id=ODD_TEXT[-1], energy_j=-math.inf),
+    ]
+    report = SimReport(policy="echo", config={"lambda": None, "seed": 0},
+                       records=records, aggregates={"tasks": 4, "flag": True})
+    path = tmp_path / "report.json"
+    report.write_json(path)
+    assert path.read_text() == reference_json(report)
+    assert "NaN" in path.read_text() and "-Infinity" in path.read_text()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(num_vms=-1)
@@ -295,6 +357,21 @@ def test_config_validation():
         for bad in (0.5, 2.0, True, "2", None):
             with pytest.raises(ValueError, match=name):
                 SyncParams(**{name: bad})
+
+
+def test_config_rejects_non_int_seed_and_non_real_lambda():
+    # seed=1.5 with noise once died in the engine's noise hash with a bare
+    # TypeError; lam=True was reported as "lambda": true
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(num_vms=1, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(num_vms=1, seed=1.5, estimate_noise=0.1)
+    for bad in (True, False, "2", [2.0]):
+        with pytest.raises(ValueError, match="lambda"):
+            SimConfig(num_vms=1, lam=bad)
+    assert SimConfig(num_vms=1, lam=2).lam == 2
+    assert SimConfig(num_vms=1, seed=7, lam=0.5).seed == 7
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

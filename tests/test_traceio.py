@@ -1,5 +1,6 @@
 """Trace generation and JSONL round-tripping."""
 
+import dataclasses
 import json
 import math
 import statistics
@@ -78,6 +79,52 @@ def test_blank_lines_are_skipped(tmp_path):
     save(trace, path)
     path.write_text(path.read_text().replace("\n", "\n\n"))
     assert len(load(path).tasks) == 2
+
+
+def reference_lines(trace: TraceFile) -> str:
+    header = {"schema": SCHEMA, **trace.header}
+    rows = [header] + [dataclasses.asdict(t) for t in trace.tasks]
+    return "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+                   for row in rows)
+
+
+def test_saved_bytes_equal_the_per_line_reference(tmp_path):
+    trace = generate(n=25, lam=2.0, mix=MixSpec.preset("mix-2"), seed=6)
+    odd = ['q"uote', "back\\slash", "ctrl\x00\x1f", "caf\u00e9", "\u2028", "},\n"]
+    tasks = [dataclasses.replace(t, id=f"{odd[i % 6]}{i}", user_id=odd[i % 6],
+                                 app=odd[(i + 1) % 6], offloadable=i != 3)
+             for i, t in enumerate(trace.tasks)]
+    for header in (trace.header, {}, {"note": odd, "schema": SCHEMA}):
+        odd_trace = TraceFile(header=header, tasks=tasks)
+        path = tmp_path / "trace.jsonl"
+        save(odd_trace, path)
+        assert path.read_text() == reference_lines(odd_trace)
+        assert load(path).tasks == tasks
+    empty = TraceFile(header={}, tasks=[])
+    save(empty, path)
+    assert path.read_text() == reference_lines(empty)
+
+
+def test_failed_save_leaves_no_partial_trace(tmp_path):
+    trace = generate(n=6, lam=1.0, mix=MixSpec.preset("mix-1"), seed=3)
+    # the fifth task's id is not JSON-serializable
+    tasks = list(trace.tasks)
+    tasks[4] = dataclasses.replace(tasks[4], id=b"t00004")
+    broken = TraceFile(header=trace.header, tasks=tasks)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(TypeError):
+        save(broken, path)
+    assert list(tmp_path.iterdir()) == []
+    # an existing trace at the path survives a failed save intact
+    save(trace, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(TypeError):
+        save(TraceFile(header={"bad": object()}, tasks=trace.tasks), path)
+    assert path.read_bytes() == before
 
 
 # -------------------------------------------------------------- generator

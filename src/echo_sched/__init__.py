@@ -8,8 +8,8 @@ and delta encoding), traceio (trace schema and generator), sim (the
 trace-driven simulator and reports), cli (the command-line surface).
 """
 
-from .engine import PlatformEstimate, decide, estimate, evaluate
-from .model import (CostProfile, Deadline, Decision, Platform, Segment, Task,
+from .engine import decide, estimate
+from .model import (CostProfile, Decision, Platform, Segment, Task,
                     TraceError, from_seconds, to_seconds, validate_trace)
 from .objectsync import (EagerTransfer, ObjectRecord, SyncParams,
                          TaskObjectSet, TransferAccountant, diff_apply,
@@ -24,13 +24,13 @@ from .traceio import MixSpec, TraceFile, generate, load, save
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostProfile", "Deadline", "Decision", "EagerTransfer", "EnergyParams",
+    "CostProfile", "Decision", "EagerTransfer", "EnergyParams",
     "LateTrialError", "MixSpec", "ObjectRecord", "POLICY_NAMES", "Platform",
-    "PlatformEstimate", "SchedulerError", "Segment", "SimConfig",
-    "SimReport", "StaleTrialError", "SyncParams", "Task", "TaskObjectSet",
-    "TraceError", "TraceFile", "TransferAccountant", "TrialInsertion",
-    "VmQueue", "best_vm", "build_policy", "commit", "decide", "diff_apply",
-    "diff_encode", "energy_of", "estimate", "evaluate", "from_seconds",
-    "generate", "lazy_bytes", "load", "run", "save",
-    "to_seconds", "trial_insert", "validate_trace",
+    "SchedulerError", "Segment", "SimConfig", "SimReport",
+    "StaleTrialError", "SyncParams", "Task", "TaskObjectSet", "TraceError",
+    "TraceFile", "TransferAccountant", "TrialInsertion", "VmQueue",
+    "best_vm", "build_policy", "commit", "decide", "diff_apply",
+    "diff_encode", "energy_of", "estimate", "from_seconds", "generate",
+    "lazy_bytes", "load", "run", "save", "to_seconds", "trial_insert",
+    "validate_trace",
 ]

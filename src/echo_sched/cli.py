@@ -203,11 +203,12 @@ def _fmt(value) -> str:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         payload = json.loads(Path(args.path).read_text())
-        summary = SimReport(policy=payload["policy"], config=payload["config"],
-                            records=[], aggregates=payload["aggregates"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        report = SimReport(policy=payload["policy"], config=payload["config"],
+                           records=[], aggregates=payload["aggregates"])
+        summary = report.summary_text()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a report file: {args.path}: {exc}") from None
-    print(summary.summary_text())
+    print(summary)
     return 0
 
 

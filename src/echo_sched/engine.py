@@ -16,28 +16,14 @@ so later arrivals can only preempt it if it still finishes in time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
-from .model import Deadline, Decision, Platform, Task
+from .model import Decision, Platform, Task
 from .scheduler import TrialInsertion, VmQueue, best_vm, commit
 
 logger = logging.getLogger(__name__)
 
 # the one argmin tie order (fastest): prefer edge, then cloud, then the device
 _TIE_RANK = {Platform.EDGE: 0, Platform.CLOUD: 1, Platform.MOBILE: 2}
-
-
-@dataclass(frozen=True)
-class PlatformEstimate:
-    """Completion-time estimates (durations from decision time) per platform.
-
-    t_edge is None when no VMs exist or the task is not offloadable.
-    """
-
-    t_mobile: int
-    t_cloud: int
-    t_edge: int | None
-    chosen: Platform
 
 
 def estimate(task: Task) -> tuple[int, int]:
@@ -53,19 +39,6 @@ def estimate(task: Task) -> tuple[int, int]:
     return t_mobile, t_cloud
 
 
-def evaluate(task: Task, queues: list[VmQueue], now: int, *,
-             provision_delay: int = 0, edge_upload_time: int | None = None,
-             estimate_noise: float = 0.0,
-             noise_seed: int = 0) -> PlatformEstimate:
-    """Estimate all platforms without committing anything."""
-    est, _trial = _evaluate(task, queues, now,
-                            provision_delay=provision_delay,
-                            edge_upload_time=edge_upload_time,
-                            estimate_noise=estimate_noise,
-                            noise_seed=noise_seed)
-    return est
-
-
 def decide(task: Task, queues: list[VmQueue], now: int, *,
            provision_delay: int = 0, edge_upload_time: int | None = None,
            estimate_noise: float = 0.0,
@@ -75,24 +48,36 @@ def decide(task: Task, queues: list[VmQueue], now: int, *,
     edge_upload_time overrides the profiled upload leg (the transmission
     layer may move fewer bytes than profiled, so the input arrives early).
     """
-    est, trial = _evaluate(task, queues, now,
-                           provision_delay=provision_delay,
-                           edge_upload_time=edge_upload_time,
-                           estimate_noise=estimate_noise,
-                           noise_seed=noise_seed)
-    if est.chosen is Platform.MOBILE:
-        return Decision(Platform.MOBILE, now + est.t_mobile)
-    if est.chosen is Platform.CLOUD:
-        return Decision(Platform.CLOUD, now + est.t_cloud)
-    assert trial is not None and est.t_edge is not None
-    commit(queues, trial.vm_index, trial)
-    deadline = trial.deadline
-    assert deadline is not None
-    completion = now + est.t_edge
+    t_mobile, t_cloud = estimate(task)
+    if estimate_noise:
+        t_mobile = _distort(t_mobile, task.id, noise_seed, estimate_noise)
+        t_cloud = _distort(t_cloud, task.id + "/c", noise_seed, estimate_noise)
+    if not task.offloadable:
+        return Decision(Platform.MOBILE, now + t_mobile)
+
+    p = task.profile
+    # The task may only finish later than its no-edge alternative if it
+    # was never admitted; once admitted this bound is its deadline.
+    horizon = now + min(t_mobile, t_cloud)
+    t_edge: int | None = None
+    trial: TrialInsertion | None = None
+    if queues:
+        upload = p.up_edge if edge_upload_time is None else edge_upload_time
+        ready = now + provision_delay + upload
+        trial = best_vm(queues, task, ready, horizon - p.down_edge)
+        t_edge = (trial.candidate_completion - now) + p.down_edge
+
+    chosen = fastest(t_mobile, t_cloud, t_edge)
+    if chosen is Platform.MOBILE:
+        return Decision(Platform.MOBILE, now + t_mobile)
+    if chosen is Platform.CLOUD:
+        return Decision(Platform.CLOUD, now + t_cloud)
+    assert trial is not None and t_edge is not None
+    commit(trial)
     logger.debug("task %s -> edge vm %d (t_m=%d t_c=%d t_e=%d)",
-                 task.id, trial.vm_index, est.t_mobile, est.t_cloud, est.t_edge)
-    return Decision(Platform.EDGE, completion, vm_index=trial.vm_index,
-                    deadline=Deadline(deadline + task.profile.down_edge))
+                 task.id, trial.vm_index, t_mobile, t_cloud, t_edge)
+    return Decision(Platform.EDGE, now + t_edge, vm_index=trial.vm_index,
+                    deadline=horizon)
 
 
 def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
@@ -102,37 +87,6 @@ def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
     if t_edge is not None:
         candidates.append((t_edge, _TIE_RANK[Platform.EDGE], Platform.EDGE))
     return min(candidates)[2]
-
-
-def _evaluate(task: Task, queues: list[VmQueue], now: int, *,
-              provision_delay: int, edge_upload_time: int | None,
-              estimate_noise: float,
-              noise_seed: int) -> tuple[PlatformEstimate, TrialInsertion | None]:
-    t_mobile, t_cloud = estimate(task)
-    if estimate_noise:
-        t_mobile = _distort(t_mobile, task.id, noise_seed, estimate_noise)
-        t_cloud = _distort(t_cloud, task.id + "/c", noise_seed, estimate_noise)
-
-    if not task.offloadable:
-        return PlatformEstimate(t_mobile, t_cloud, None, Platform.MOBILE), None
-
-    t_edge: int | None = None
-    trial: TrialInsertion | None = None
-    if queues:
-        p = task.profile
-        # The task may only finish later than its no-edge alternative if it
-        # was never admitted; once admitted this bound is its deadline.
-        horizon = now + min(t_mobile, t_cloud)
-        upload = p.up_edge if edge_upload_time is None else edge_upload_time
-        ready = now + provision_delay + upload
-        queue_limit = horizon - p.down_edge
-        vm_index, trial = best_vm(queues, task, ready, queue_limit)
-        t_edge = (trial.candidate_completion - now) + p.down_edge
-
-    chosen = fastest(t_mobile, t_cloud, t_edge)
-    if chosen is not Platform.EDGE:
-        trial = None
-    return PlatformEstimate(t_mobile, t_cloud, t_edge, chosen), trial
 
 
 def _distort(duration: int, key: str, seed: int, magnitude: float) -> int:

@@ -108,6 +108,12 @@ class Task:
 
     def __post_init__(self) -> None:
         _check_duration("arrival", self.arrival)
+        for name in ("id", "user_id", "app"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TraceError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.offloadable, bool):
+            raise TraceError(f"offloadable must be true or false, got {self.offloadable!r}")
 
 
 class Platform(Enum):
@@ -117,29 +123,21 @@ class Platform(Enum):
 
 
 @dataclass(frozen=True)
-class Deadline:
-    """Absolute completion bound for an edge-admitted task.
-
-    h = arrival + min(local completion time, cloud completion time): running
-    at the edge must never be worse than the better of the two alternatives.
-    """
-
-    h: int
-
-
-@dataclass(frozen=True)
 class Decision:
     """Platform assignment with the completion time predicted at decision time.
 
-    vm_index is set iff platform is EDGE.  deadline is attached by the
-    QoS-guaranteeing engine for edge placements; best-effort edge placements
-    (no admission control) leave it None.
+    vm_index is set iff platform is EDGE.  deadline is the absolute
+    completion bound arrival + min(local completion time, cloud completion
+    time): running at the edge must never be worse than the better of the
+    two alternatives.  The QoS-guaranteeing engine attaches it to its edge
+    placements; best-effort edge placements (no admission control) and
+    device or cloud placements leave it None.
     """
 
     platform: Platform
     predicted_completion: int
     vm_index: int | None = None
-    deadline: Deadline | None = None
+    deadline: int | None = None
 
     def __post_init__(self) -> None:
         if self.platform is Platform.EDGE:

@@ -457,7 +457,7 @@ def _repair(original: list[tuple[str, int]],
 
 
 def best_vm(queues: list[VmQueue], task: Task, ready: int,
-            deadline: int | None) -> tuple[int, TrialInsertion]:
+            deadline: int | None) -> TrialInsertion:
     """Trial on every VM; pick minimum completion-time growth (ties: lowest index)."""
     if not queues:
         raise SchedulerError("no VMs configured")
@@ -467,28 +467,25 @@ def best_vm(queues: list[VmQueue], task: Task, ready: int,
         if best is None or trial.delta_t < best.delta_t:
             best = trial
     assert best is not None
-    return best.vm_index, best
+    return best
 
 
-def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
-    """Make a trial real.
+def commit(trial: TrialInsertion) -> None:
+    """Make a trial real on the queue it was computed against.
 
     Refuses trials computed against a stale queue, and trials whose
     newcomer would end past its own deadline: repair pins every admitted
     task at its deadline, so a late one would corrupt later trials.
     """
-    queue = queues[vm_index]
-    if trial.vm_index != vm_index or trial._source is not queue:
-        raise StaleTrialError(
-            f"trial was computed for vm {trial.vm_index}, not vm {vm_index}")
+    queue = trial._source
     if trial._source_version != queue.version:
         raise StaleTrialError(
-            f"vm {vm_index} changed since the trial (version "
+            f"vm {queue.vm_index} changed since the trial (version "
             f"{trial._source_version} -> {queue.version})")
     if trial.deadline is not None and trial.candidate_completion > trial.deadline:
         raise LateTrialError(
             f"{trial.task_id!r} would end at {trial.candidate_completion}, "
-            f"past its deadline {trial.deadline} on vm {vm_index}")
+            f"past its deadline {trial.deadline} on vm {queue.vm_index}")
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
                                                trial.work)
@@ -496,4 +493,5 @@ def commit(queues: list[VmQueue], vm_index: int, trial: TrialInsertion) -> None:
     queue._tail = None
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
-                 vm_index, trial.task_id, trial.candidate_completion, trial.delta_t)
+                 queue.vm_index, trial.task_id, trial.candidate_completion,
+                 trial.delta_t)

@@ -293,7 +293,7 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
         start = start_opt
         completion = exec_end_opt + p.down_edge
         waiting = exec_end_opt - ready - p.r_edge
-    deadline = decision.deadline.h if decision.deadline is not None else None
+    deadline = decision.deadline
     met = (completion <= deadline) if deadline is not None else None
     energy = energy_of(task, decision, cost.up_bytes, cost.down_bytes,
                        config.energy, completion=completion)

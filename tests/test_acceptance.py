@@ -100,7 +100,7 @@ def test_criterion_3_three_vm_growth_instance():
     def place(queue, tid, work, ready, deadline):
         trial = trial_insert(queue, bare_task(tid, work, ready), ready,
                              deadline)
-        commit(queues, queue.vm_index, trial)
+        commit(trial)
 
     place(m1, "a1", 7 * SEC, 0, None)
     place(m3, "a3", 8 * SEC, 0, None)
@@ -119,7 +119,7 @@ def test_criterion_3_three_vm_growth_instance():
 
     a7 = bare_task("a7", 5 * SEC, 7 * SEC)       # arrives at slot 7
     deltas = [trial_insert(q, a7, 7 * SEC, None).delta_t for q in queues]
-    vm, _trial = best_vm(queues, a7, 7 * SEC, None)
+    vm = best_vm(queues, a7, 7 * SEC, None).vm_index
     ok = deltas == [10 * SEC, 13 * SEC, 11 * SEC] and vm == 0
     check(3, ok, f"growth {[d // SEC for d in deltas]} -> vm {vm} "
                  "(want [10, 13, 11] -> vm 0)")

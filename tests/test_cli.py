@@ -97,6 +97,25 @@ def test_simulate_rejects_zero_edge_run(tmp_path):
         assert not (tmp_path / f"{policy}.json").exists()
 
 
+def test_simulate_rejects_mistyped_trace_fields(tmp_path):
+    # an int id used to crash the noise hash, a list user_id the
+    # accountant's key, and a string offloadable ran the task on the edge
+    trace = make_trace(tmp_path, n=5)
+    original = trace.read_text().splitlines()
+    for field, value in (("id", 5), ("user_id", ["u"]), ("offloadable", "no")):
+        lines = list(original)
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+        result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                         "--vms", 1, "--estimate-noise", 0.1,
+                         "--out", tmp_path / field, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"line 3: {field} must be" in result.stderr
+        assert not (tmp_path / f"{field}.json").exists()
+
+
 def test_simulate_zero_vms_is_allowed(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("simulate", "--trace", trace, "--policy", "echo",
@@ -171,6 +190,16 @@ def test_report_rejects_non_report_files(tmp_path):
     result = run_cli("report", "--in", trace, cwd=tmp_path)
     assert result.returncode == 2
     assert "not a report file" in result.stderr
+
+
+def test_report_rejects_objects_without_aggregates(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"policy": "x", "config": {},
+                                "aggregates": {}}))
+    result = run_cli("report", "--in", path, cwd=tmp_path)
+    assert result.returncode == 2
+    assert f"error: not a report file: {path}" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from echo_sched.engine import decide, estimate, evaluate, fastest
+from echo_sched.engine import decide, estimate, fastest
 from echo_sched.model import CostProfile, Platform, Task
 from echo_sched.scheduler import VmQueue
 from conftest import mk_task, sec
@@ -31,8 +31,7 @@ def test_decide_edge_commits_and_sets_deadline():
     assert decision.platform is Platform.EDGE
     assert decision.vm_index == 0
     assert decision.predicted_completion == sec(5.5)
-    assert decision.deadline is not None
-    assert decision.deadline.h == sec(6)
+    assert decision.deadline == sec(6)
     # committed: work queued, input arrives after the upload leg,
     # queue-level deadline excludes the download leg
     assert queues[0].future_chunks == (("t0", sec(4)),)
@@ -76,9 +75,9 @@ def test_decide_mobile_when_not_offloadable():
     decision = decide(task, queues, 0)
     assert decision.platform is Platform.MOBILE
     assert decision.predicted_completion == sec(10)
+    assert decision.vm_index is None and decision.deadline is None
     assert queues[0].future_chunks == ()
-    est = evaluate(task, queues, 0)
-    assert est.t_edge is None and est.chosen is Platform.MOBILE
+    assert queues[0].version == 0
 
 
 def test_decide_without_vms_is_two_way():
@@ -86,8 +85,9 @@ def test_decide_without_vms_is_two_way():
                    down_cloud=1.0, r_edge=0.1)
     decision = decide(task, [], 0)
     assert decision.platform is Platform.CLOUD
-    est = evaluate(task, [], 0)
-    assert est.t_edge is None
+    assert decision.vm_index is None and decision.deadline is None
+    # with a VM the same task would have gone to the edge
+    assert decide(task, [VmQueue(0)], 0).platform is Platform.EDGE
     slow_cloud = mk_task("t1", r_mobile=5.0, up_cloud=2.0, r_cloud=3.0,
                          down_cloud=1.0)
     assert decide(slow_cloud, [], 0).platform is Platform.MOBILE
@@ -135,14 +135,24 @@ def test_decisions_are_deterministic():
 
 
 def test_noise_distorts_reproducibly_and_stays_bounded():
-    task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
-                   down_cloud=1.0)
-    a = evaluate(task, [], 0, estimate_noise=0.3, noise_seed=7)
-    b = evaluate(task, [], 0, estimate_noise=0.3, noise_seed=7)
-    assert (a.t_mobile, a.t_cloud) == (b.t_mobile, b.t_cloud)
-    assert a.t_mobile > 0 and a.t_cloud > 0
-    assert abs(a.t_mobile - sec(10)) <= sec(3) + 1
-    assert abs(a.t_cloud - sec(6)) <= sec(1.8) + 1
+    # Both tasks share the id that keys the noise.  The non-offloadable
+    # one predicts the noisy device estimate; the other's device is so
+    # slow that it predicts the noisy cloud estimate.
+    local = mk_task("t0", r_mobile=10.0, offloadable=False)
+    remote = mk_task("t0", r_mobile=1000.0, up_cloud=2.0, r_cloud=3.0,
+                     down_cloud=1.0)
+
+    def noisy(task):
+        return decide(task, [], 0, estimate_noise=0.3, noise_seed=7)
+
+    assert noisy(local) == noisy(local)
+    assert noisy(remote) == noisy(remote)
+    assert noisy(remote).platform is Platform.CLOUD
+    t_mobile = noisy(local).predicted_completion
+    t_cloud = noisy(remote).predicted_completion
+    assert t_mobile > 0 and t_cloud > 0
+    assert abs(t_mobile - sec(10)) <= sec(3) + 1
+    assert abs(t_cloud - sec(6)) <= sec(1.8) + 1
 
 
 def test_choice_invariant_under_uniform_scaling():
@@ -156,8 +166,8 @@ def test_choice_invariant_under_uniform_scaling():
             scaled = CostProfile(*(d * scale for d in durations))
             t1 = Task(id="a", user_id="u", app="x", arrival=0, profile=base)
             t2 = Task(id="a", user_id="u", app="x", arrival=0, profile=scaled)
-            chosen1 = evaluate(t1, [VmQueue(0)], 0).chosen
-            chosen2 = evaluate(t2, [VmQueue(0)], 0).chosen
+            chosen1 = decide(t1, [VmQueue(0)], 0).platform
+            chosen2 = decide(t2, [VmQueue(0)], 0).platform
             assert chosen1 is chosen2
 
 
@@ -184,7 +194,7 @@ def test_edge_admissions_always_meet_their_deadline():
         )
         decision = decide(task, queues, now)
         if decision.platform is Platform.EDGE:
-            assert decision.predicted_completion <= decision.deadline.h
+            assert decision.predicted_completion <= decision.deadline
             placed.append((task, decision))
     assert placed, "stream never chose the edge"
     horizon = max(q.horizon() for q in queues)
@@ -196,4 +206,4 @@ def test_edge_admissions_always_meet_their_deadline():
         # later preemptions may push the task back, but never past the bound
         completion = exec_end + task.profile.down_edge
         assert completion >= decision.predicted_completion
-        assert completion <= decision.deadline.h, task.id
+        assert completion <= decision.deadline, task.id

@@ -8,7 +8,6 @@ import pytest
 from echo_sched.model import (
     US_PER_SECOND,
     CostProfile,
-    Deadline,
     Decision,
     Platform,
     Segment,
@@ -100,6 +99,15 @@ def test_task_rejects_negative_arrival():
         mk_task("t0", arrival=-2.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 5), ("user_id", ["u"]), ("app", None),
+    ("offloadable", "no"), ("offloadable", 1),
+])
+def test_task_rejects_mistyped_fields(field, value):
+    with pytest.raises(TraceError, match=rf"^{field} must be "):
+        dataclasses.replace(mk_task("t0"), **{field: value})
+
+
 def test_task_and_profile_are_frozen():
     task = mk_task("t0")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -162,7 +170,7 @@ def test_decision_vm_index_only_for_edge():
 
 def test_decision_platform_labels():
     edge = Decision(platform=Platform.EDGE, predicted_completion=sec(1.0),
-                    vm_index=3, deadline=Deadline(sec(2.0)))
+                    vm_index=3, deadline=sec(2.0))
     assert edge.platform_label() == "edge:3"
     cloud = Decision(platform=Platform.CLOUD, predicted_completion=sec(1.0))
     assert cloud.platform_label() == "cloud"

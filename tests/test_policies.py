@@ -142,7 +142,7 @@ def test_echo_policy_wraps_the_decision_engine():
     decision = policy.decide(task, queues, 0)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5.5)
-    assert decision.deadline.h == sec(6)
+    assert decision.deadline == sec(6)
     assert queues[0].deadline_of("t0") == sec(5.5)
 
 

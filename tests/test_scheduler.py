@@ -34,7 +34,7 @@ def admit(queue: VmQueue, tid: str, work: int, ready: int,
           deadline: int | None, arrival: int | None = None):
     task = task_us(tid, work, ready if arrival is None else arrival)
     trial = trial_insert(queue, task, ready, deadline)
-    commit([queue] * (queue.vm_index + 1), queue.vm_index, trial)
+    commit(trial)
     return trial
 
 
@@ -252,22 +252,21 @@ def test_best_vm_picks_smallest_growth():
     deltas = [trial_insert(q, task_us("n", sec(20)), 0, None).delta_t
               for q in queues]
     assert deltas == [sec(29), sec(32), sec(30)]
-    vm, trial = best_vm(queues, task_us("n", sec(20)), 0, None)
-    assert vm == 0
+    trial = best_vm(queues, task_us("n", sec(20)), 0, None)
+    assert trial.vm_index == 0
     assert trial.delta_t == sec(29)
 
 
 def test_best_vm_tie_goes_to_lowest_index():
     queues = [VmQueue(0), VmQueue(1)]
-    vm, _ = best_vm(queues, task_us("n", sec(2)), 0, None)
-    assert vm == 0
+    assert best_vm(queues, task_us("n", sec(2)), 0, None).vm_index == 0
 
 
 def test_best_vm_prefers_idle_vm():
     queues = [VmQueue(0), VmQueue(1)]
     admit(queues[0], "f", sec(5), 0, None)
-    vm, trial = best_vm(queues, task_us("n", sec(2)), 0, None)
-    assert vm == 1
+    trial = best_vm(queues, task_us("n", sec(2)), 0, None)
+    assert trial.vm_index == 1
     assert trial.delta_t == sec(2)
 
 
@@ -283,7 +282,7 @@ def test_commit_applies_trial_exactly():
     q = VmQueue(0)
     admit(q, "a", sec(4), 0, None)
     trial = trial_insert(q, task_us("b", sec(2)), 0, None)
-    commit([q], 0, trial)
+    commit(trial)
     assert q.future_chunks == trial.candidate_chunks
     assert q.deadline_of("b") is None
     assert q.ready_of("b") == 0
@@ -295,14 +294,7 @@ def test_commit_rejects_stale_trial():
     trial = trial_insert(q, task_us("b", sec(2)), sec(1), None)
     q.advance(sec(1))  # queue moved on; the trial's packing is stale
     with pytest.raises(StaleTrialError):
-        commit([q], 0, trial)
-
-
-def test_commit_rejects_wrong_vm():
-    queues = [VmQueue(0), VmQueue(1)]
-    trial = trial_insert(queues[0], task_us("a", sec(1)), 0, None)
-    with pytest.raises(StaleTrialError):
-        commit(queues, 1, trial)
+        commit(trial)
 
 
 def test_commit_refuses_a_newcomer_past_its_own_deadline():
@@ -315,7 +307,7 @@ def test_commit_refuses_a_newcomer_past_its_own_deadline():
     assert late.candidate_completion == sec(11)
     version = q.version
     with pytest.raises(LateTrialError, match="'b'"):
-        commit([q], 0, late)
+        commit(late)
     assert issubclass(LateTrialError, SchedulerError)
     assert q.version == version and q.future_chunks == (("a", sec(5)),)
     admit(q, "c", sec(1), 0, None)
@@ -402,7 +394,8 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         task = task_us(f"t{i}", work, arrival=now)
 
         trials = [trial_insert(q, task, ready, deadline) for q in queues]
-        vm, chosen = best_vm(queues, task, ready, deadline)
+        chosen = best_vm(queues, task, ready, deadline)
+        vm = chosen.vm_index
         assert chosen.delta_t == min(t.delta_t for t in trials)
         assert vm == min(i for i, t in enumerate(trials)
                          if t.delta_t == chosen.delta_t)
@@ -442,7 +435,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
                     assert q.remaining_work(displaced) > work
 
         if deadline is None or chosen.candidate_completion <= deadline:
-            commit(queues, vm, chosen)
+            commit(chosen)
             assert_totals(queues[vm])
             if deadline is not None:
                 deadlines[task.id] = (vm, deadline)
@@ -510,11 +503,11 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
             continue
         deadline = (None if rng.random() < 0.3
                     else ready + work + rng.randrange(0, 2500) * 1000)
-        vm, trial = best_vm(queues, task, ready, deadline)
+        trial = best_vm(queues, task, ready, deadline)
         assert_totals(trial.candidate_queue)
         if deadline is None or trial.candidate_completion <= deadline:
-            commit(queues, vm, trial)
-            assert_totals(queues[vm])
+            commit(trial)
+            assert_totals(queues[trial.vm_index])
     horizon = max(q.horizon() for q in queues)
     for q in queues:
         q.advance(horizon)

@@ -107,9 +107,11 @@ def test_saved_bytes_equal_the_per_line_reference(tmp_path):
 
 def test_failed_save_leaves_no_partial_trace(tmp_path):
     trace = generate(n=6, lam=1.0, mix=MixSpec.preset("mix-1"), seed=3)
-    # the fifth task's id is not JSON-serializable
+    # the fifth task's id is not JSON-serializable; Task refuses a
+    # non-str id, so set it past the constructor's check
     tasks = list(trace.tasks)
-    tasks[4] = dataclasses.replace(tasks[4], id=b"t00004")
+    tasks[4] = dataclasses.replace(tasks[4])
+    object.__setattr__(tasks[4], "id", b"t00004")
     broken = TraceFile(header=trace.header, tasks=tasks)
     path = tmp_path / "trace.jsonl"
     with pytest.raises(TypeError):

@@ -39,15 +39,10 @@ def estimate(task: Task) -> tuple[int, int]:
     return t_mobile, t_cloud
 
 
-def decide(task: Task, queues: list[VmQueue], now: int, *,
-           provision_delay: int = 0, edge_upload_time: int | None = None,
-           estimate_noise: float = 0.0,
-           noise_seed: int = 0) -> Decision:
-    """Place one task; commits the edge insertion when edge wins.
-
-    edge_upload_time overrides the profiled upload leg (the transmission
-    layer may move fewer bytes than profiled, so the input arrives early).
-    """
+def decide(task: Task, queues: list[VmQueue], ready: int, *,
+           estimate_noise: float = 0.0, noise_seed: int = 0) -> Decision:
+    """Place a task whose VM work may start at `ready`; commit if edge wins."""
+    now = task.arrival
     t_mobile, t_cloud = estimate(task)
     if estimate_noise:
         t_mobile = _distort(t_mobile, task.id, noise_seed, estimate_noise)
@@ -62,8 +57,6 @@ def decide(task: Task, queues: list[VmQueue], now: int, *,
     t_edge: int | None = None
     trial: TrialInsertion | None = None
     if queues:
-        upload = p.up_edge if edge_upload_time is None else edge_upload_time
-        ready = now + provision_delay + upload
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
         t_edge = (trial.candidate_completion - now) + p.down_edge
 

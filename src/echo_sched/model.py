@@ -37,6 +37,13 @@ def check_int(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value: float) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real (not a bool)."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _check_duration(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TraceError(f"{name} must be an integer microsecond count, got {value!r}")

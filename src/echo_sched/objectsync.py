@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_int
+from .model import check_int, check_real
 
 MAGIC = b"ODLT"
 WIRE_VERSION = 1
@@ -328,6 +328,7 @@ class SyncParams:
             raise ValueError("need a positive proxy header and >= 1 object per task")
         for name in ("args_share", "referred_share", "change_fraction"):
             value = getattr(self, name)
+            check_real(name, value)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.rtt_us < 0:

@@ -1,11 +1,12 @@
 """Placement policies sharing one decide() interface.
 
-Every policy looks at one arriving task plus the current edge queues and
-returns a Decision.  Only the two edge-aware policies ever mutate the
-queues, and only when they actually place the task on a VM.  Each policy
-also declares its transfer model, the class the simulator prices its
-offloads with: lazy plus delta transmission for echo, profiled bytes as-is
-for the four baselines.
+A policy holds no settings: sim.run calls decide(task, queues, ready,
+config) at each arrival, with `ready` the earliest instant the task's
+work may start on a VM and `config` the run's SimConfig.  Only the two
+edge-aware policies ever mutate the queues, and only when they place the
+task on a VM.  Each policy also declares its transfer model, the class the
+simulator prices its offloads with: lazy plus delta transmission for echo,
+profiled bytes as-is for the four baselines.
 
     end-only      run everything on the device
     cloud-always  offload everything offloadable to the cloud
@@ -29,9 +30,9 @@ class LocalOnlyPolicy:
     name = "end-only"
     transfer_model = EagerTransfer
 
-    def decide(self, task: Task, queues: list[VmQueue], now: int,
-               edge_upload_time: int | None = None) -> Decision:
-        return Decision(Platform.MOBILE, now + task.profile.r_mobile)
+    def decide(self, task: Task, queues: list[VmQueue], ready: int,
+               config) -> Decision:
+        return Decision(Platform.MOBILE, task.arrival + task.profile.r_mobile)
 
 
 class CloudAlwaysPolicy:
@@ -40,12 +41,12 @@ class CloudAlwaysPolicy:
     name = "cloud-always"
     transfer_model = EagerTransfer
 
-    def decide(self, task: Task, queues: list[VmQueue], now: int,
-               edge_upload_time: int | None = None) -> Decision:
+    def decide(self, task: Task, queues: list[VmQueue], ready: int,
+               config) -> Decision:
         if not task.offloadable:
-            return Decision(Platform.MOBILE, now + task.profile.r_mobile)
+            return Decision(Platform.MOBILE, task.arrival + task.profile.r_mobile)
         _, t_cloud = engine.estimate(task)
-        return Decision(Platform.CLOUD, now + t_cloud)
+        return Decision(Platform.CLOUD, task.arrival + t_cloud)
 
 
 class QueueBlindCloudPolicy:
@@ -54,12 +55,12 @@ class QueueBlindCloudPolicy:
     name = "thinkair"
     transfer_model = EagerTransfer
 
-    def decide(self, task: Task, queues: list[VmQueue], now: int,
-               edge_upload_time: int | None = None) -> Decision:
+    def decide(self, task: Task, queues: list[VmQueue], ready: int,
+               config) -> Decision:
         t_mobile, t_cloud = engine.estimate(task)
         if task.offloadable and t_cloud < t_mobile:
-            return Decision(Platform.CLOUD, now + t_cloud)
-        return Decision(Platform.MOBILE, now + t_mobile)
+            return Decision(Platform.CLOUD, task.arrival + t_cloud)
+        return Decision(Platform.MOBILE, task.arrival + t_mobile)
 
 
 class BestEffortEdgePolicy:
@@ -74,11 +75,9 @@ class BestEffortEdgePolicy:
     name = "mcloud"
     transfer_model = EagerTransfer
 
-    def __init__(self, provision_delay: int = 0):
-        self.provision_delay = provision_delay
-
-    def decide(self, task: Task, queues: list[VmQueue], now: int,
-               edge_upload_time: int | None = None) -> Decision:
+    def decide(self, task: Task, queues: list[VmQueue], ready: int,
+               config) -> Decision:
+        now = task.arrival
         t_mobile, t_cloud = engine.estimate(task)
         if not task.offloadable:
             return Decision(Platform.MOBILE, now + t_mobile)
@@ -93,7 +92,6 @@ class BestEffortEdgePolicy:
             return Decision(Platform.CLOUD, now + t_cloud)
         assert t_edge is not None
         vm_index = min(range(len(queues)), key=lambda i: (queues[i].load(), i))
-        ready = now + self.provision_delay + p.up_edge
         queues[vm_index].append_fifo(task, ready)
         return Decision(Platform.EDGE, now + t_edge, vm_index=vm_index)
 
@@ -104,35 +102,23 @@ class DeadlineAwareEdgePolicy:
     name = "echo"
     transfer_model = TransferAccountant
 
-    def __init__(self, provision_delay: int = 0, estimate_noise: float = 0.0,
-                 noise_seed: int = 0):
-        self.provision_delay = provision_delay
-        self.estimate_noise = estimate_noise
-        self.noise_seed = noise_seed
-
-    def decide(self, task: Task, queues: list[VmQueue], now: int,
-               edge_upload_time: int | None = None) -> Decision:
-        return engine.decide(task, queues, now,
-                             provision_delay=self.provision_delay,
-                             edge_upload_time=edge_upload_time,
-                             estimate_noise=self.estimate_noise,
-                             noise_seed=self.noise_seed)
+    def decide(self, task: Task, queues: list[VmQueue], ready: int,
+               config) -> Decision:
+        return engine.decide(task, queues, ready,
+                             estimate_noise=config.estimate_noise,
+                             noise_seed=config.seed)
 
 
-POLICY_NAMES = ("end-only", "cloud-always", "thinkair", "mcloud", "echo")
+_POLICIES = {cls.name: cls for cls in (
+    LocalOnlyPolicy, CloudAlwaysPolicy, QueueBlindCloudPolicy,
+    BestEffortEdgePolicy, DeadlineAwareEdgePolicy)}
+
+POLICY_NAMES = tuple(_POLICIES)
 
 
-def build_policy(name: str, provision_delay: int = 0,
-                 estimate_noise: float = 0.0, noise_seed: int = 0):
+def build_policy(name: str):
     """Instantiate a policy by its CLI name."""
-    if name == "end-only":
-        return LocalOnlyPolicy()
-    if name == "cloud-always":
-        return CloudAlwaysPolicy()
-    if name == "thinkair":
-        return QueueBlindCloudPolicy()
-    if name == "mcloud":
-        return BestEffortEdgePolicy(provision_delay)
-    if name == "echo":
-        return DeadlineAwareEdgePolicy(provision_delay, estimate_noise, noise_seed)
-    raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
+    if name not in _POLICIES:
+        raise ValueError(f"unknown policy {name!r}; "
+                         f"expected one of {', '.join(POLICY_NAMES)}")
+    return _POLICIES[name]()

@@ -146,14 +146,13 @@ class VmQueue:
 
     # ----------------------------------------------------------- mutations
 
-    def advance(self, to: int) -> list[str]:
-        """Execute the schedule up to `to`; returns tasks that finished."""
+    def advance(self, to: int) -> None:
+        """Execute the schedule up to `to`."""
         if to < self.now:
             raise SchedulerError(f"cannot advance vm {self.vm_index} backwards "
                                  f"({self.now} -> {to})")
         if to == self.now:
-            return []
-        completed: list[str] = []
+            return
         chunks = self._chunks
         cursor = self.now
         consumed = 0
@@ -173,7 +172,6 @@ class VmQueue:
                 consumed = i + 1
                 if entry.executed == entry.total:
                     entry.completion = cursor
-                    completed.append(tid)
             else:
                 chunks[i] = (tid, w - run)
                 break
@@ -182,7 +180,6 @@ class VmQueue:
         self._pending -= executed
         self.now = to
         self.version += 1
-        return completed
 
     def append_fifo(self, task: Task, ready: int) -> int:
         """Best-effort tail append (no deadline, no preemption).

@@ -12,14 +12,14 @@ across repeats.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import (Decision, Platform, Task, check_int, to_seconds,
-                    validate_trace)
+from .model import (Decision, Platform, Task, check_int, check_real,
+                    to_seconds, validate_trace)
 from .objectsync import SyncParams, TransferCost
 from .policies import build_policy
 from .scheduler import VmQueue
@@ -42,13 +42,9 @@ class EnergyParams:
     def __post_init__(self) -> None:
         for name in ("p_cpu_mobile", "p_net_mobile", "p_idle"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-    def scaled(self, factor: float) -> "EnergyParams":
-        return EnergyParams(self.p_cpu_mobile * factor,
-                            self.p_net_mobile * factor,
-                            self.p_idle * factor)
+            check_real(name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,19 +59,19 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_int("num_vms", self.num_vms)
-        check_int("provision_delay", self.provision_delay)
         check_int("seed", self.seed)
         if not 0 <= self.num_vms <= 1024:
             raise ValueError(f"num_vms must be in [0, 1024], got {self.num_vms}")
         if self.lam is not None:
-            if not isinstance(self.lam, (int, float)) or isinstance(self.lam, bool):
-                raise ValueError(f"lambda must be a real number, got {self.lam!r}")
-            if not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not math.isfinite(self.estimate_noise):
-            raise ValueError(f"estimate_noise must be finite, got {self.estimate_noise}")
-        if self.provision_delay < 0:
-            raise ValueError("provision_delay must be >= 0")
+            check_real("lambda", self.lam)
+            if self.lam <= 0:
+                raise ValueError(f"lambda must be positive, got {self.lam}")
+        for name, check in (("provision_delay", check_int),
+                            ("estimate_noise", check_real)):
+            value = getattr(self, name)
+            check(name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -235,9 +231,7 @@ def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     # the first task's outcome, so reject the trace as the CLI loader does.
     validate_trace(tasks)
     if isinstance(policy, str):
-        policy = build_policy(policy, provision_delay=config.provision_delay,
-                              estimate_noise=config.estimate_noise,
-                              noise_seed=config.seed)
+        policy = build_policy(policy)
     transfer = policy.transfer_model(config.sync)
 
     queues = [VmQueue(i) for i in range(config.num_vms)]
@@ -246,11 +240,10 @@ def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     decisions: dict[str, Decision] = {}
     costs: dict[str, TransferCost] = {}
     for task in ordered:
-        now = task.arrival
         for queue in queues:
-            queue.advance(now)
-        decision = policy.decide(task, queues, now,
-                                 edge_upload_time=transfer.upload_us(task))
+            queue.advance(task.arrival)
+        ready = task.arrival + config.provision_delay + transfer.upload_us(task)
+        decision = policy.decide(task, queues, ready, config)
         costs[task.id] = (_NO_TRANSFER if decision.platform is Platform.MOBILE
                           else transfer.commit(task))
         decisions[task.id] = decision
@@ -353,25 +346,7 @@ def _aggregate(records: list[TaskRecord], backhaul: int = 0) -> dict:
 
 
 def _config_dict(policy_name: str, config: SimConfig, task_count: int) -> dict:
-    return {
-        "policy": policy_name,
-        "num_vms": config.num_vms,
-        "lambda": config.lam,
-        "seed": config.seed,
-        "provision_delay": config.provision_delay,
-        "estimate_noise": config.estimate_noise,
-        "tasks": task_count,
-        "energy": {
-            "p_cpu_mobile": config.energy.p_cpu_mobile,
-            "p_net_mobile": config.energy.p_net_mobile,
-            "p_idle": config.energy.p_idle,
-        },
-        "sync": {
-            "proxy_header": config.sync.proxy_header,
-            "objects_per_task": config.sync.objects_per_task,
-            "args_share": config.sync.args_share,
-            "referred_share": config.sync.referred_share,
-            "change_fraction": config.sync.change_fraction,
-            "rtt_us": config.sync.rtt_us,
-        },
-    }
+    """SimConfig field by field (lam as "lambda"), plus policy and tasks."""
+    echo = dataclasses.asdict(config)
+    echo["lambda"] = echo.pop("lam")
+    return {**echo, "policy": policy_name, "tasks": task_count}

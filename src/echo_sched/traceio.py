@@ -130,49 +130,13 @@ def load(path: str | Path) -> TraceFile:
 
 
 def _task_to_dict(task: Task) -> dict:
-    return {
-        "id": task.id,
-        "user_id": task.user_id,
-        "app": task.app,
-        "arrival": task.arrival,
-        "offloadable": task.offloadable,
-        "profile": {
-            "r_mobile": task.profile.r_mobile,
-            "r_edge": task.profile.r_edge,
-            "r_cloud": task.profile.r_cloud,
-            "up_edge": task.profile.up_edge,
-            "down_edge": task.profile.down_edge,
-            "up_cloud": task.profile.up_cloud,
-            "down_cloud": task.profile.down_cloud,
-            "upload_bytes": task.profile.upload_bytes,
-            "download_bytes": task.profile.download_bytes,
-        },
-    }
+    return {**vars(task), "profile": vars(task.profile)}
 
 
 def _task_from_dict(row: dict) -> Task:
     if not isinstance(row, dict):
         raise ValueError(f"expected a task object, got {type(row).__name__}")
-    profile_row = row["profile"]
-    profile = CostProfile(
-        r_mobile=profile_row["r_mobile"],
-        r_edge=profile_row["r_edge"],
-        r_cloud=profile_row["r_cloud"],
-        up_edge=profile_row["up_edge"],
-        down_edge=profile_row["down_edge"],
-        up_cloud=profile_row["up_cloud"],
-        down_cloud=profile_row["down_cloud"],
-        upload_bytes=profile_row.get("upload_bytes", 0),
-        download_bytes=profile_row.get("download_bytes", 0),
-    )
-    return Task(
-        id=row["id"],
-        user_id=row["user_id"],
-        app=row["app"],
-        arrival=row["arrival"],
-        profile=profile,
-        offloadable=row.get("offloadable", True),
-    )
+    return Task(**{**row, "profile": CostProfile(**row["profile"])})
 
 
 # --------------------------------------------------------------------------

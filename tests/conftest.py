@@ -9,6 +9,9 @@ step_oracle_run() does the same for a whole simulation: it drives run()
 with a policy wrapper that ticks every VM between arrivals, then asserts
 that each edge record's realized times equal the ticked ones.
 
+edge_ready() and DEFAULTS are the ready instant and the config that
+run() would pass to a policy's decide(), for tests that call it directly.
+
 cli_env() is the environment for a CLI child process, so that the child
 imports the same echo_sched as the test process.
 """
@@ -71,6 +74,18 @@ def mk_task(task_id: str, arrival=0.0, offloadable=True, user_id="u00",
         profile=mk_profile(**profile_kwargs),
         offloadable=offloadable,
     )
+
+
+def edge_ready(task: Task, delay: int = 0, upload: int | None = None) -> int:
+    """The ready instant run() passes to decide() for `task`: its arrival,
+    plus a provision delay, plus the upload leg (profiled unless given)."""
+    if upload is None:
+        upload = task.profile.up_edge
+    return task.arrival + delay + upload
+
+
+# the settings a policy reads from the run's config, at their defaults
+DEFAULTS = SimConfig(num_vms=1)
 
 
 def step_completions(chunks, ready, now, dt=1000):
@@ -156,8 +171,8 @@ class StepOracle:
     """Policy wrapper that ticks every VM from one arrival to the next.
 
     run() calls decide() once per arrival, after advancing its queues to
-    that instant.  The wrapper first ticks its own VMs up to the same
-    instant, then delegates; on an edge placement it resyncs the chosen
+    that instant.  The wrapper first ticks its own VMs up to the task's
+    arrival, then delegates; on an edge placement it resyncs the chosen
     VM from the committed queue.
     """
 
@@ -169,15 +184,14 @@ class StepOracle:
         self.vms = [_SteppedVm(dt) for _ in range(num_vms)]
         self.clock = 0
 
-    def decide(self, task, queues, now, edge_upload_time=None):
+    def decide(self, task, queues, ready, config):
         for vm in self.vms:
-            vm.step_until(self.clock, now)
-        self.clock = now
-        if edge_upload_time % self.dt:
-            raise ValueError(f"dt={self.dt} does not divide the effective "
-                             f"upload of task {task.id!r}: {edge_upload_time}")
-        decision = self.inner.decide(task, queues, now,
-                                     edge_upload_time=edge_upload_time)
+            vm.step_until(self.clock, task.arrival)
+        self.clock = task.arrival
+        if ready % self.dt:
+            raise ValueError(f"dt={self.dt} does not divide the ready "
+                             f"instant of task {task.id!r}: {ready}")
+        decision = self.inner.decide(task, queues, ready, config)
         if decision.platform is Platform.EDGE:
             self.vms[decision.vm_index].resync(queues[decision.vm_index])
         return decision
@@ -205,11 +219,7 @@ def step_oracle_run(trace, policy, config: SimConfig,
                                  f"{task.id!r}: {value}")
     if config.provision_delay % dt:
         raise ValueError(f"dt={dt} does not divide provision_delay")
-    inner = policy
-    if isinstance(policy, str):
-        inner = build_policy(policy, provision_delay=config.provision_delay,
-                             estimate_noise=config.estimate_noise,
-                             noise_seed=config.seed)
+    inner = build_policy(policy) if isinstance(policy, str) else policy
     oracle = StepOracle(inner, config.num_vms, dt)
     report = run(tasks, oracle, config)
     for vm in oracle.vms:

@@ -116,6 +116,38 @@ def test_simulate_rejects_mistyped_trace_fields(tmp_path):
         assert not (tmp_path / f"{field}.json").exists()
 
 
+def test_simulate_rejects_misspelled_trace_keys(tmp_path):
+    # "offloadble": false once offloaded a task pinned to the device, and
+    # "upload_byte" loaded as 0 bytes
+    trace = make_trace(tmp_path, n=5)
+    original = trace.read_text().splitlines()
+    for typo in ("offloadble", "upload_byte"):
+        lines = list(original)
+        row = json.loads(lines[2])
+        if typo == "offloadble":
+            del row["offloadable"]
+            row[typo] = False
+        else:
+            row["profile"][typo] = row["profile"].pop("upload_bytes")
+        lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+        result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                         "--vms", 1, "--out", tmp_path / typo, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "line 3" in result.stderr and typo in result.stderr
+        assert not (tmp_path / f"{typo}.json").exists()
+
+
+def test_simulate_rejects_negative_estimate_noise(tmp_path):
+    trace = make_trace(tmp_path, n=5)
+    result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                     "--vms", 1, "--estimate-noise", -0.3,
+                     "--out", tmp_path / "r", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "estimate_noise" in result.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_simulate_zero_vms_is_allowed(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("simulate", "--trace", trace, "--policy", "echo",

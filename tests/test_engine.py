@@ -7,7 +7,7 @@ import pytest
 from echo_sched.engine import decide, estimate, fastest
 from echo_sched.model import CostProfile, Platform, Task
 from echo_sched.scheduler import VmQueue
-from conftest import mk_task, sec
+from conftest import edge_ready, mk_task, sec
 
 
 def test_estimate_examples():
@@ -27,7 +27,7 @@ def test_decide_edge_commits_and_sets_deadline():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=0.5)
-    decision = decide(task, queues, 0)
+    decision = decide(task, queues, edge_ready(task))
     assert decision.platform is Platform.EDGE
     assert decision.vm_index == 0
     assert decision.predicted_completion == sec(5.5)
@@ -43,7 +43,7 @@ def test_decide_tie_prefers_edge():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=0.5)
-    decision = decide(task, queues, 0, provision_delay=sec(0.5))
+    decision = decide(task, queues, edge_ready(task, delay=sec(0.5)))
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(6)  # exactly the cloud time
 
@@ -55,12 +55,12 @@ def test_decide_cloud_leaves_queue_untouched():
     queues = [VmQueue(0)]
     filler = mk_task("f", r_mobile=5.0, up_cloud=9.0, r_cloud=9.0,
                      down_cloud=9.0, r_edge=5.0)
-    assert decide(filler, queues, 0).platform is Platform.EDGE
+    assert decide(filler, queues, edge_ready(filler)).platform is Platform.EDGE
     before_chunks = queues[0].future_chunks
     before_version = queues[0].version
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=4.0)
-    decision = decide(task, queues, 0)
+    decision = decide(task, queues, edge_ready(task))
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
     assert decision.vm_index is None and decision.deadline is None
@@ -72,7 +72,7 @@ def test_decide_mobile_when_not_offloadable():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, r_edge=0.1, up_cloud=0.1,
                    r_cloud=0.1, down_cloud=0.1, offloadable=False)
-    decision = decide(task, queues, 0)
+    decision = decide(task, queues, edge_ready(task))
     assert decision.platform is Platform.MOBILE
     assert decision.predicted_completion == sec(10)
     assert decision.vm_index is None and decision.deadline is None
@@ -83,20 +83,22 @@ def test_decide_mobile_when_not_offloadable():
 def test_decide_without_vms_is_two_way():
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=0.1)
-    decision = decide(task, [], 0)
+    decision = decide(task, [], edge_ready(task))
     assert decision.platform is Platform.CLOUD
     assert decision.vm_index is None and decision.deadline is None
     # with a VM the same task would have gone to the edge
-    assert decide(task, [VmQueue(0)], 0).platform is Platform.EDGE
+    assert (decide(task, [VmQueue(0)], edge_ready(task)).platform
+            is Platform.EDGE)
     slow_cloud = mk_task("t1", r_mobile=5.0, up_cloud=2.0, r_cloud=3.0,
                          down_cloud=1.0)
-    assert decide(slow_cloud, [], 0).platform is Platform.MOBILE
+    assert (decide(slow_cloud, [], edge_ready(slow_cloud)).platform
+            is Platform.MOBILE)
 
 
 def test_decide_mobile_cloud_tie_prefers_cloud():
     task = mk_task("t0", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0)
-    assert decide(task, [], 0).platform is Platform.CLOUD
+    assert decide(task, [], edge_ready(task)).platform is Platform.CLOUD
 
 
 def test_fastest_breaks_ties_edge_then_cloud_then_device():
@@ -113,7 +115,7 @@ def test_upload_override_shifts_ready_time():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0)
-    decision = decide(task, queues, 0, edge_upload_time=sec(0.25))
+    decision = decide(task, queues, edge_ready(task, upload=sec(0.25)))
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(4.25)
     assert queues[0].ready_of("t0") == sec(0.25)
@@ -129,7 +131,7 @@ def test_decisions_are_deterministic():
                            down_cloud=1.0)
             for q in queues:
                 q.advance(task.arrival)
-            out.append(decide(task, queues, task.arrival))
+            out.append(decide(task, queues, edge_ready(task)))
         return out
     assert run() == run()
 
@@ -143,7 +145,8 @@ def test_noise_distorts_reproducibly_and_stays_bounded():
                      down_cloud=1.0)
 
     def noisy(task):
-        return decide(task, [], 0, estimate_noise=0.3, noise_seed=7)
+        return decide(task, [], edge_ready(task), estimate_noise=0.3,
+                      noise_seed=7)
 
     assert noisy(local) == noisy(local)
     assert noisy(remote) == noisy(remote)
@@ -166,8 +169,8 @@ def test_choice_invariant_under_uniform_scaling():
             scaled = CostProfile(*(d * scale for d in durations))
             t1 = Task(id="a", user_id="u", app="x", arrival=0, profile=base)
             t2 = Task(id="a", user_id="u", app="x", arrival=0, profile=scaled)
-            chosen1 = decide(t1, [VmQueue(0)], 0).platform
-            chosen2 = decide(t2, [VmQueue(0)], 0).platform
+            chosen1 = decide(t1, [VmQueue(0)], edge_ready(t1)).platform
+            chosen2 = decide(t2, [VmQueue(0)], edge_ready(t2)).platform
             assert chosen1 is chosen2
 
 
@@ -192,7 +195,7 @@ def test_edge_admissions_always_meet_their_deadline():
             up_cloud=rng.randrange(400, 1500) / 1000,
             down_cloud=rng.randrange(400, 1500) / 1000,
         )
-        decision = decide(task, queues, now)
+        decision = decide(task, queues, edge_ready(task))
         if decision.platform is Platform.EDGE:
             assert decision.predicted_completion <= decision.deadline
             placed.append((task, decision))

@@ -7,7 +7,7 @@ import pytest
 from echo_sched.model import Platform
 from echo_sched.policies import POLICY_NAMES, build_policy
 from echo_sched.scheduler import VmQueue
-from conftest import mk_task, sec
+from conftest import DEFAULTS, edge_ready, mk_task, sec
 
 
 def test_policy_registry():
@@ -23,7 +23,7 @@ def test_end_only_always_runs_locally():
     policy = build_policy("end-only")
     task = mk_task("t0", r_mobile=280.38, r_edge=0.1, up_cloud=0.1,
                    r_cloud=0.1, down_cloud=0.1)
-    decision = policy.decide(task, [VmQueue(0)], 0)
+    decision = policy.decide(task, [VmQueue(0)], edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.MOBILE
     assert decision.predicted_completion == sec(280.38)
 
@@ -32,34 +32,40 @@ def test_cloud_always_offloads_even_when_slower():
     policy = build_policy("cloud-always")
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0)
-    decision = policy.decide(task, [], 0)
+    decision = policy.decide(task, [], edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
     # cloud round trip 18.77s vs 15.14s locally: offloads regardless
     slow = mk_task("t1", r_mobile=15.14, up_cloud=12.5, r_cloud=2.77,
                    down_cloud=3.5)
-    assert policy.decide(slow, [], 0).platform is Platform.CLOUD
+    assert (policy.decide(slow, [], edge_ready(slow), DEFAULTS).platform
+            is Platform.CLOUD)
 
 
 def test_cloud_always_respects_pinned_tasks():
     policy = build_policy("cloud-always")
     task = mk_task("t0", offloadable=False)
-    assert policy.decide(task, [], 0).platform is Platform.MOBILE
+    assert (policy.decide(task, [], edge_ready(task), DEFAULTS).platform
+            is Platform.MOBILE)
 
 
 def test_thinkair_compares_cloud_to_device_only():
     policy = build_policy("thinkair")
     faster = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                      down_cloud=1.0)
-    assert policy.decide(faster, [], 0).platform is Platform.CLOUD
+    assert (policy.decide(faster, [], edge_ready(faster), DEFAULTS).platform
+            is Platform.CLOUD)
     slower = mk_task("t1", r_mobile=15.14, up_cloud=12.5, r_cloud=2.77,
                      down_cloud=3.5)
-    assert policy.decide(slower, [], 0).platform is Platform.MOBILE
+    assert (policy.decide(slower, [], edge_ready(slower), DEFAULTS).platform
+            is Platform.MOBILE)
     # exact tie stays local: offloading must strictly help
     tie = mk_task("t2", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                   down_cloud=1.0)
-    assert policy.decide(tie, [], 0).platform is Platform.MOBILE
-    assert policy.decide(tie, [VmQueue(0)], 0).platform is Platform.MOBILE
+    assert (policy.decide(tie, [], edge_ready(tie), DEFAULTS).platform
+            is Platform.MOBILE)
+    assert (policy.decide(tie, [VmQueue(0)], edge_ready(tie),
+                          DEFAULTS).platform is Platform.MOBILE)
 
 
 def test_thinkair_never_touches_edge_queues():
@@ -67,7 +73,7 @@ def test_thinkair_never_touches_edge_queues():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, r_edge=0.1, up_cloud=2.0,
                    r_cloud=3.0, down_cloud=1.0)
-    policy.decide(task, queues, 0)
+    policy.decide(task, queues, edge_ready(task), DEFAULTS)
     assert queues[0].future_chunks == ()
 
 
@@ -76,7 +82,7 @@ def test_mcloud_uses_queue_blind_estimate():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=3.0, down_edge=1.0)
-    decision = policy.decide(task, queues, 0)
+    decision = policy.decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.vm_index == 0
     assert decision.predicted_completion == sec(5)
@@ -92,9 +98,10 @@ def test_mcloud_picks_least_loaded_vm():
     queues[0].append_fifo(mk_task("f", r_edge=5.0), 0)
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=1.0)
-    assert policy.decide(task, queues, 0).vm_index == 1
+    assert (policy.decide(task, queues, edge_ready(task), DEFAULTS).vm_index
+            == 1)
     tied = [VmQueue(0), VmQueue(1)]
-    assert policy.decide(task, tied, 0).vm_index == 0
+    assert policy.decide(task, tied, edge_ready(task), DEFAULTS).vm_index == 0
 
 
 def test_mcloud_ignores_contention_and_overshoots():
@@ -104,10 +111,11 @@ def test_mcloud_ignores_contention_and_overshoots():
     queues = [VmQueue(0)]
     heavy = mk_task("a", r_mobile=150.0, up_cloud=10.0, r_cloud=90.0,
                     down_cloud=10.0, r_edge=100.0)
-    assert policy.decide(heavy, queues, 0).platform is Platform.EDGE
+    assert (policy.decide(heavy, queues, edge_ready(heavy), DEFAULTS).platform
+            is Platform.EDGE)
     quick = mk_task("b", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                     down_cloud=1.0, up_edge=1.0, r_edge=3.0, down_edge=1.0)
-    decision = policy.decide(quick, queues, 0)
+    decision = policy.decide(quick, queues, edge_ready(quick), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5)
     queues[0].advance(sec(200))
@@ -125,12 +133,14 @@ def test_mcloud_shares_the_engine_tie_order():
     edge_cloud = mk_task("ec", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                          down_cloud=1.0, up_edge=1.0, r_edge=4.0,
                          down_edge=1.0)
-    assert mcloud.decide(edge_cloud, [VmQueue(0)], 0).platform is Platform.EDGE
+    assert (mcloud.decide(edge_cloud, [VmQueue(0)], edge_ready(edge_cloud),
+                          DEFAULTS).platform is Platform.EDGE)
     cloud_mobile = mk_task("cm", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                            down_cloud=1.0, up_edge=1.0, r_edge=9.0,
                            down_edge=1.0)
     for queues in ([VmQueue(0)], []):
-        decision = mcloud.decide(cloud_mobile, queues, 0)
+        decision = mcloud.decide(cloud_mobile, queues,
+                                 edge_ready(cloud_mobile), DEFAULTS)
         assert decision.platform is Platform.CLOUD
 
 
@@ -139,7 +149,7 @@ def test_echo_policy_wraps_the_decision_engine():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=0.5)
-    decision = policy.decide(task, queues, 0)
+    decision = policy.decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5.5)
     assert decision.deadline == sec(6)
@@ -154,11 +164,12 @@ def test_echo_keeps_the_no_edge_bound():
     queues = [VmQueue(0)]
     filler = mk_task("f", r_mobile=100.0, r_edge=100.0, up_cloud=40.0,
                      r_cloud=40.0, down_cloud=40.0)
-    assert policy.decide(filler, queues, 0).platform is Platform.EDGE
+    assert (policy.decide(filler, queues, edge_ready(filler),
+                          DEFAULTS).platform is Platform.EDGE)
     assert queues[0].deadline_of("f") == sec(100)
     task = mk_task("b", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=3.0, down_edge=1.0)
-    decision = policy.decide(task, queues, 0)
+    decision = policy.decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
     assert queues[0].future_chunks == (("f", sec(100)),)
@@ -178,8 +189,10 @@ def test_echo_equals_mcloud_without_contention():
             up_cloud=rng.randrange(0, 2000) / 1000,
             down_cloud=rng.randrange(0, 2000) / 1000,
         )
-        a = build_policy("echo").decide(mk_task("t", **kwargs), [VmQueue(0)], 0)
-        b = build_policy("mcloud").decide(mk_task("t", **kwargs), [VmQueue(0)], 0)
+        task = mk_task("t", **kwargs)
+        ready = edge_ready(task)
+        a = build_policy("echo").decide(task, [VmQueue(0)], ready, DEFAULTS)
+        b = build_policy("mcloud").decide(task, [VmQueue(0)], ready, DEFAULTS)
         assert a.platform is b.platform, kwargs
         assert a.predicted_completion == b.predicted_completion
 
@@ -188,6 +201,6 @@ def test_provision_delay_shifts_edge_readiness():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=3.0)
-    policy = build_policy("mcloud", provision_delay=sec(0.5))
-    policy.decide(task, queues, 0)
+    policy = build_policy("mcloud")
+    policy.decide(task, queues, edge_ready(task, delay=sec(0.5)), DEFAULTS)
     assert queues[0].ready_of("t0") == sec(1.5)

@@ -327,9 +327,10 @@ def test_commit_accepts_a_newcomer_ending_on_its_deadline():
 def test_advance_runs_and_completes_work():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, None)
-    assert q.advance(sec(2)) == []
+    q.advance(sec(2))
+    assert q.completion_of("a") is None
     assert q.first_start_of("a") == 0
-    assert q.advance(sec(12)) == ["a"]
+    q.advance(sec(12))
     assert q.completion_of("a") == sec(10)
     assert q.load() == 0
 
@@ -340,7 +341,8 @@ def test_advance_waits_for_ready_gate():
     q.advance(sec(3))
     assert q.remaining_work("a") == sec(1)  # idle until 2s, ran 1s
     assert q.first_start_of("a") == sec(2)
-    assert q.advance(sec(5)) == ["a"]
+    assert q.completion_of("a") is None
+    q.advance(sec(5))
     assert q.completion_of("a") == sec(4)
 
 
@@ -355,7 +357,9 @@ def test_advance_same_instant_is_a_no_op():
     q = VmQueue(0)
     admit(q, "a", sec(1), 0, None)
     version = q.version
-    assert q.advance(q.now) == []
+    q.advance(q.now)
+    assert q.first_start_of("a") is None
+    assert q.completion_of("a") is None
     assert q.version == version
 
 

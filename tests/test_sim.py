@@ -12,7 +12,7 @@ from echo_sched.model import (CostProfile, Decision, Platform, Task, TraceError,
                               to_seconds)
 from echo_sched.objectsync import SyncParams
 from echo_sched.policies import (POLICY_NAMES, BestEffortEdgePolicy,
-                                 DeadlineAwareEdgePolicy)
+                                 DeadlineAwareEdgePolicy, build_policy)
 from echo_sched.sim import (
     CSV_COLUMNS,
     EnergyParams,
@@ -146,8 +146,10 @@ def test_energy_offload_transfer_plus_idle():
 def test_energy_scales_linearly_with_power():
     trace = ms_trace(seed=5, n=30)
     base = run(trace, "echo", SimConfig(num_vms=2))
-    doubled = run(trace, "echo",
-                  SimConfig(num_vms=2, energy=EnergyParams().scaled(2.0)))
+    d = EnergyParams()
+    twice = EnergyParams(2.0 * d.p_cpu_mobile, 2.0 * d.p_net_mobile,
+                         2.0 * d.p_idle)
+    doubled = run(trace, "echo", SimConfig(num_vms=2, energy=twice))
     for a, b in zip(base.records, doubled.records):
         assert b.energy_j == 2.0 * a.energy_j
     assert doubled.aggregates["energy_j"] == pytest.approx(
@@ -186,6 +188,17 @@ def test_noisy_estimates_still_meet_shifted_deadlines():
     b = run(trace, "echo", config)
     assert a.to_dict() == b.to_dict()
     assert a.aggregates["deadline_compliance"] == 1.0
+
+
+def test_policy_object_runs_with_the_config_settings():
+    # A policy object once held its own copy of the provision delay and
+    # the estimate noise, so a run given an object ran without the config's
+    # values while its report echoed them.
+    trace = generate(n=200, lam=4.0, mix=MixSpec.preset("mix-1"), seed=3)
+    for config in (SimConfig(num_vms=2, provision_delay=2_000_000),
+                   SimConfig(num_vms=2, seed=3, estimate_noise=0.3)):
+        by_object = run(trace, build_policy("echo"), config)
+        assert by_object.to_dict() == run(trace, "echo", config).to_dict()
 
 
 def test_echo_moves_fewer_bytes_than_eager_policies():
@@ -357,6 +370,20 @@ def test_config_validation():
         for bad in (0.5, 2.0, True, "2", None):
             with pytest.raises(ValueError, match=name):
                 SyncParams(**{name: bad})
+    # float settings must be finite reals: estimate_noise=True and
+    # args_share=True were echoed as true, change_fraction="0.25" raised a
+    # bare TypeError, and a negative noise ran
+    for bad in (True, "0.1", None, -0.3):
+        with pytest.raises(ValueError, match="estimate_noise"):
+            SimConfig(num_vms=1, estimate_noise=bad)
+    for name in ("args_share", "referred_share", "change_fraction"):
+        for bad in (True, "0.25", None, float("nan")):
+            with pytest.raises(ValueError, match=name):
+                SyncParams(**{name: bad})
+    for name in ("p_cpu_mobile", "p_net_mobile", "p_idle"):
+        for bad in (True, "0.5", None, float("inf")):
+            with pytest.raises(ValueError, match=name):
+                EnergyParams(**{name: bad})
 
 
 def test_config_rejects_non_int_seed_and_non_real_lambda():

@@ -73,6 +73,27 @@ def test_load_reports_bad_field_values(tmp_path):
         load(path)
 
 
+def test_load_rejects_unknown_keys(tmp_path):
+    # a misspelled optional key used to be dropped silently: "offloadble"
+    # loaded as offloadable=True and "upload_byte" as 0 bytes
+    trace = generate(n=2, lam=1.0, mix=MixSpec.preset("mix-1"), seed=0)
+    path = tmp_path / "trace.jsonl"
+    save(trace, path)
+    lines = path.read_text().splitlines()
+    for typo in ("offloadble", "upload_byte"):
+        row = json.loads(lines[1])
+        if typo == "offloadble":
+            del row["offloadable"]
+            row[typo] = False
+        else:
+            row["profile"][typo] = row["profile"].pop("upload_bytes")
+        bad = list(lines)
+        bad[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(TraceError, match=f"line 2.*{typo}"):
+            load(path)
+
+
 def test_blank_lines_are_skipped(tmp_path):
     trace = generate(n=2, lam=1.0, mix=MixSpec.preset("mix-1"), seed=0)
     path = tmp_path / "trace.jsonl"

@@ -19,16 +19,25 @@ Delta wire format, little-endian:
 
 The encoder keys each window by its byte sum and its weighted byte sum
 (weights block..1), as in rsync's weak checksum.  Only the block-aligned
-windows of the old payload are keyed, one reshaped row per block.  Every
-window of the new payload is keyed in uint32 wrap-around arithmetic, which
-is exact because the key keeps 32 bits of each sum.  A bitmap on the low
-20 bits of the block keys discards almost every window before a 64-bit
-key is built; the survivors are matched exactly.  Scanning left to right,
-the first window that verifies byte-for-byte against a block becomes a
-COPY, extended by comparing doubling strides, and the bytes between COPYs
-become INSERTs.  The keying, prefilter and stride compare set only speed
-and memory: which windows match, in which order, and so every delta byte,
-stay fixed (tests/test_golden.py pins a digest of the deltas).
+windows of the old payload are keyed, one reshaped row per block.  The
+new payload is keyed lazily, one span of window starts at a time, in
+uint32 wrap-around arithmetic, which is exact because the key keeps 32
+bits of each sum.  A span covers 64 blocks' worth of starts.  One that
+yields no COPY doubles the next; after one that does, the next span is
+64 blocks again and starts at the later of its end and the last COPY's
+end, so windows inside a COPY that outruns its span are never keyed.
+A bitmap on the low 20 bits of the block keys discards almost every
+window before a 64-bit key is built; the survivors are matched exactly.
+Scanning left to right, the first window that verifies byte-for-byte
+against a block becomes a COPY, extended by comparing doubling strides,
+and the bytes between COPYs become INSERTs.
+
+The spans, prefilter and stride compare set only speed and memory.  A
+window's key depends only on its own bytes, so keying a slice gives the
+key that keying the whole payload would, and candidates are still tried
+in increasing start order: which windows match, in which order, and so
+every delta byte, stay fixed (tests/test_golden.py pins a digest of the
+deltas).
 
 Applying a delta against the wrong base payload fails the digest check.
 For any inputs, len(delta) <= len(new) + DELTA_HEADER_BUDGET as long as
@@ -74,6 +83,10 @@ class DigestMismatch(SyncError):
 
 _PREFILTER_BITS = 20
 _PREFILTER_MASK = np.uint32((1 << _PREFILTER_BITS) - 1)
+# Blocks' worth of window starts in the first span and in each span after
+# a COPY.  A span with no COPY doubles the next, so an unmatched stretch
+# costs few numpy calls.
+_FIRST_SPAN = 64
 
 
 def _window_sums(data: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,16 +124,21 @@ def _block_keys(data: np.ndarray, block: int) -> np.ndarray:
     return _key(rows.sum(axis=1, dtype=np.uint32), rows @ weights)
 
 
-def _candidates(data: np.ndarray, block: int,
-                block_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and key of every window of `data` whose key is a block key.
-
-    A bitmap on the low key bits rejects almost every window before any
-    64-bit key is built; the survivors are then tested exactly.
-    """
-    wsum, s2 = _window_sums(data, block)
+def _prefilter(block_keys: np.ndarray) -> np.ndarray:
+    """Bitmap over the low key bits: True where some block key lands."""
     bitmap = np.zeros(1 << _PREFILTER_BITS, dtype=bool)
     bitmap[(block_keys & np.uint64(_PREFILTER_MASK)).astype(np.intp)] = True
+    return bitmap
+
+
+def _candidates(data: np.ndarray, block: int, block_keys: np.ndarray,
+                bitmap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and key of every window of `data` whose key is a block key.
+
+    The prefilter `bitmap` rejects almost every window before any 64-bit
+    key is built; the survivors are then tested exactly.
+    """
+    wsum, s2 = _window_sums(data, block)
     starts = np.flatnonzero(bitmap[s2 & _PREFILTER_MASK])
     keys = _key(wsum[starts], s2[starts])
     hit = np.isin(keys, block_keys)
@@ -172,32 +190,46 @@ def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> byte
 
 def _encode_blocks(old: bytes, new: bytes, block: int) -> list[bytes]:
     block_keys = _block_keys(np.frombuffer(old, dtype=np.uint8), block)
+    bitmap = _prefilter(block_keys)
     table: dict[int, list[int]] = {}
     for start, key in enumerate(block_keys.tolist()):
         table.setdefault(key, []).append(start * block)
 
-    starts, keys = _candidates(np.frombuffer(new, dtype=np.uint8), block,
-                               block_keys)
+    data = np.frombuffer(new, dtype=np.uint8)
+    windows = len(new) - block + 1
     ops: list[bytes] = []
     lit_start = 0
-    i = 0
-    while i < len(starts):
-        cand = int(starts[i])
-        for off in table[int(keys[i])]:
-            if old[off:off + block] == new[cand:cand + block]:
-                break
+    pos = 0
+    span = _FIRST_SPAN * block
+    while pos < windows:
+        # key only the windows starting in [pos, end)
+        end = min(pos + span, windows)
+        starts, keys = _candidates(data[pos:end + block - 1], block,
+                                   block_keys, bitmap)
+        starts += pos
+        i = 0
+        while i < len(starts):
+            cand = int(starts[i])
+            for off in table[int(keys[i])]:
+                if old[off:off + block] == new[cand:cand + block]:
+                    break
+            else:
+                i += 1
+                continue
+            # extend the verified match as far as both sides agree
+            length = _match_length(old, new, off, cand, block)
+            if cand > lit_start:
+                chunk = new[lit_start:cand]
+                ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
+            ops.append(_COPY.pack(_OP_COPY, off, length))
+            lit_start = cand + length
+            # candidates inside the match are spent
+            i = int(starts.searchsorted(lit_start))
+        # lit_start <= pos on entry, so it passed pos only if a COPY landed
+        if lit_start > pos:
+            pos, span = max(end, lit_start), _FIRST_SPAN * block
         else:
-            i += 1
-            continue
-        # extend the verified match as far as both sides agree
-        length = _match_length(old, new, off, cand, block)
-        if cand > lit_start:
-            chunk = new[lit_start:cand]
-            ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
-        ops.append(_COPY.pack(_OP_COPY, off, length))
-        lit_start = cand + length
-        # candidates inside the match are spent
-        i = int(starts.searchsorted(lit_start))
+            pos, span = end, span * 2
     if lit_start < len(new):
         chunk = new[lit_start:]
         ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)

@@ -16,15 +16,14 @@ from __future__ import annotations
 import configparser
 import json
 import logging
-import math
 import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .model import (CostProfile, Task, TraceError, from_seconds,
-                    validate_trace)
+from .model import (CostProfile, Task, TraceError, check_int, check_real,
+                    from_seconds, validate_trace)
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +45,7 @@ class MixSpec:
         default_factory=lambda: {"chess": 1.0, "sudoku": 1.0, "nqueens": 1.0})
 
     def __post_init__(self) -> None:
+        check_real("interactive_fraction", self.interactive_fraction)
         if not 0.0 <= self.interactive_fraction <= 1.0:
             raise ValueError(
                 f"interactive_fraction must be in [0, 1], got {self.interactive_fraction}")
@@ -200,10 +200,13 @@ def _load_profiles(path: str | Path | None) -> tuple[dict[str, _AppArchetype], _
 def generate(n: int, lam: float, mix: MixSpec, seed: int,
              profile_config: str | Path | None = None) -> TraceFile:
     """Synthesize a trace of n tasks with Exponential(lam) inter-arrivals."""
+    check_int("n", n)
+    check_real("lambda", lam)
+    check_int("seed", seed)
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
     apps, links = _load_profiles(profile_config)
     for name in list(mix.interactive_weights) + list(mix.compute_weights):
         if name not in apps:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echo_sched import objectsync
 from echo_sched.model import CostProfile, Task
@@ -219,12 +221,165 @@ def test_prefiltered_candidates_equal_isin_over_every_window():
     for block in (64, 100, 1024):
         for o, n in pairs:
             block_keys = objectsync._block_keys(as_array(o), block)
-            starts, keys = objectsync._candidates(as_array(n), block,
-                                                  block_keys)
+            starts, keys = objectsync._candidates(
+                as_array(n), block, block_keys,
+                objectsync._prefilter(block_keys))
             ref = window_keys_int64(as_array(n), block)
             expect = np.flatnonzero(np.isin(ref, block_keys))
             assert np.array_equal(starts, expect)
             assert np.array_equal(keys, ref[expect])
+
+
+def reference_encode(old: bytes, new: bytes, block: int) -> bytes:
+    """The greedy scan over every window of `new`, keyed up front.
+
+    The specification the encoder's lazy, span-by-span keying must meet
+    byte for byte: every window keyed by the int64 reference, candidates
+    tried left to right, each verified against its blocks in offset order
+    and extended to the first differing byte.
+    """
+    if old == new:
+        ops = [COPY.pack(0, 0, len(new))] if new else []
+    elif len(old) < block or len(new) < block:
+        ops = [INSERT_HEAD.pack(1, len(new)) + new]
+    else:
+        block_keys = window_keys_int64(as_array(old), block)[::block]
+        block_keys = block_keys[:len(old) // block]
+        table: dict[int, list[int]] = {}
+        for j, key in enumerate(block_keys.tolist()):
+            table.setdefault(key, []).append(j * block)
+        keys = window_keys_int64(as_array(new), block)
+        starts = np.flatnonzero(np.isin(keys, block_keys))
+        ops, lit_start, i = [], 0, 0
+        while i < len(starts):
+            cand = int(starts[i])
+            off = next((off for off in table[int(keys[cand])]
+                        if old[off:off + block] == new[cand:cand + block]),
+                       None)
+            if off is None:
+                i += 1
+                continue
+            limit = min(len(old) - off, len(new) - cand)
+            differ = np.flatnonzero(as_array(old)[off:off + limit]
+                                    != as_array(new)[cand:cand + limit])
+            length = int(differ[0]) if len(differ) else limit
+            if cand > lit_start:
+                ops.append(INSERT_HEAD.pack(1, cand - lit_start)
+                           + new[lit_start:cand])
+            ops.append(COPY.pack(0, off, length))
+            lit_start = cand + length
+            i = int(np.searchsorted(starts, lit_start))
+        if lit_start < len(new):
+            ops.append(INSERT_HEAD.pack(1, len(new) - lit_start)
+                       + new[lit_start:])
+    return HEADER.pack(b"ODLT", 1, hashlib.sha256(old).digest(), block,
+                       len(ops)) + b"".join(ops)
+
+
+def span_edges(block: int, size: int) -> list[int]:
+    """Offsets up to `size` on and next to where key spans end, counted
+    from where a run of spans starts: every multiple of the first span,
+    and the ends of doubling spans."""
+    first = objectsync._FIRST_SPAN * block
+    edges = {k * first for k in range(1, size // first + 1)}
+    edges |= {(2**m - 1) * first for m in range(2, 8)}
+    return sorted(at + d for at in edges for d in (-1, 0, 1)
+                  if 0 <= at + d <= size)
+
+
+@st.composite
+def codec_pairs(draw):
+    block = draw(st.sampled_from([64, 100, 1024]))
+    first = objectsync._FIRST_SPAN * block
+    fill = draw(st.sampled_from(["random", "zero", "two"]))
+    size = draw(st.integers(1, 4)) * first \
+        + draw(st.integers(-block + 1, block - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def payload(n: int) -> bytes:
+        if fill == "zero":
+            return bytes(n)
+        raw = rng.randbytes(n)
+        return raw.translate(b"ab" * 128) if fill == "two" else raw
+
+    old = payload(size)
+    new = old
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.sampled_from([0, len(new)] + span_edges(block, len(new))))
+        # fresh bytes whose length ends on or next to the end of the first
+        # or the doubled span put the realigned match there
+        reach = draw(st.sampled_from([first, 3 * first])) \
+            + draw(st.integers(-1, 1))
+        fresh = payload(reach) if draw(st.booleans()) \
+            else rng.randbytes(reach)
+        cut = draw(st.integers(1, 3 * block))
+        kind = draw(st.sampled_from(
+            ["prepend", "insert", "delete", "overwrite", "head", "tail"]))
+        if kind == "prepend":
+            new = fresh + new
+        elif kind == "insert":
+            new = new[:at] + fresh + new[at:]
+        elif kind == "delete":
+            new = new[:at] + new[at + cut:]
+        elif kind == "overwrite":
+            new = new[:at] + fresh[:cut] + new[at + cut:]
+        elif kind == "head":
+            new = new[at:]
+        else:
+            new = new[:at]
+    return old, new, block
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(pair=codec_pairs())
+def test_lazy_keying_equals_the_greedy_scan_over_every_window(pair):
+    old, new, block = pair
+    assert diff_encode(old, new, block) == reference_encode(old, new, block)
+
+
+def count_keyed_windows(monkeypatch) -> list[int]:
+    keyed = [0]
+    window_sums = objectsync._window_sums
+
+    def counting(data, block):
+        wsum, s2 = window_sums(data, block)
+        keyed[0] += len(wsum)
+        return wsum, s2
+
+    monkeypatch.setattr(objectsync, "_window_sums", counting)
+    return keyed
+
+
+def test_windows_inside_matches_are_not_keyed(monkeypatch):
+    keyed = count_keyed_windows(monkeypatch)
+    rng = random.Random(5)
+    half = 1 << 19
+    new = bytes(half) + rng.randbytes(3000) + bytes(half)
+    delta = diff_encode(bytes(2 * half), new)
+    assert diff_apply(bytes(2 * half), delta) == new
+    windows = len(new) - DEFAULT_BLOCK + 1
+    assert keyed[0] <= windows // 4
+
+
+@pytest.mark.parametrize("prepended", [5000, 100_000, 300_000])
+def test_prepend_keys_at_most_twice_its_length(monkeypatch, prepended):
+    keyed = count_keyed_windows(monkeypatch)
+    rng = random.Random(prepended)
+    old = rng.randbytes(1 << 20)
+    new = rng.randbytes(prepended) + old
+    delta = diff_encode(old, new)
+    assert diff_apply(old, delta) == new
+    assert keyed[0] <= 2 * prepended + objectsync._FIRST_SPAN * DEFAULT_BLOCK
+
+
+def test_unrelated_payload_keys_each_window_once(monkeypatch):
+    keyed = count_keyed_windows(monkeypatch)
+    rng = random.Random(8)
+    old, new = rng.randbytes(1 << 20), rng.randbytes((1 << 20) + 777)
+    delta = diff_encode(old, new)
+    assert diff_apply(old, delta) == new
+    # nothing matches, so every window is keyed, and none twice
+    assert keyed[0] == len(new) - DEFAULT_BLOCK + 1
 
 
 def test_match_length_on_and_around_stride_boundaries():

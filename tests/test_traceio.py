@@ -171,6 +171,23 @@ def test_generate_validates_arguments():
                  mix=MixSpec(0.5, interactive_weights={"nope": 1.0}))
 
 
+def test_generate_and_mix_name_a_mistyped_field():
+    # these once ran with a bool lambda in the header or a float seed, or
+    # died with a bare TypeError
+    mix = MixSpec.preset("mix-1")
+    for kwargs, message in [
+            (dict(n=3, lam=True, seed=0), "^lambda must be a finite real"),
+            (dict(n=3, lam="2", seed=0), "^lambda must be a finite real"),
+            (dict(n=2.5, lam=1.0, seed=0), "^n must be an integer"),
+            (dict(n=3, lam=1.0, seed=1.5), "^seed must be an integer")]:
+        with pytest.raises(ValueError, match=message):
+            generate(mix=mix, **kwargs)
+    for fraction in (True, "0.5"):
+        with pytest.raises(ValueError,
+                           match="^interactive_fraction must be a finite real"):
+            MixSpec(interactive_fraction=fraction)
+
+
 def test_mix_presets():
     assert MixSpec.preset("mix-1").interactive_fraction == 0.8
     assert MixSpec.preset("mix-2").interactive_fraction == 0.5

@@ -6,6 +6,8 @@ engine (three-platform placement with admission deadlines), policies
 (baselines sharing the engine's interface), objectsync (lazy transmission
 and delta encoding), traceio (trace schema and generator), sim (the
 trace-driven simulator and reports), cli (the command-line surface).
+Beside them, _blockmatch holds the delta encoder's numpy block matcher;
+diff_encode loads it on first use, so no other layer imports numpy.
 """
 
 from .engine import decide, estimate

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from echo_sched._blockmatch import _FIRST_SPAN as FIRST_SPAN
 from echo_sched.objectsync import SyncParams, diff_apply, diff_encode
 from echo_sched.sim import SimConfig, run
 from echo_sched.traceio import MixSpec, generate
@@ -79,6 +80,15 @@ CODEC_EDITS = ("identical", "blocks", "insert", "delete", "prepend", "append",
                "rotate")
 CODEC_GOLDEN = (
     "46257fdb66b20a34a011fe3ef7141f8882bc791c8e918bcbfd40feea2c2ccfff")
+# The encoder keys new-payload windows one span at a time; a span first
+# covers FIRST_SPAN blocks' worth of window starts, and one that yields no
+# COPY doubles the next.  These pairs put fresh bytes of one or three first
+# spans' length, give or take a byte, before old data, so the realigned
+# match starts on the last window of a span, on the first of the next, or
+# one past it.  Their deltas have a digest of their own.
+SPAN_EDGE_BLOCKS = (64, 100, 1024)
+SPAN_EDGE_GOLDEN = (
+    "84bf4022d3c8264180f9926df339685abfddd6cfaae32be0ba6ad5807756926d")
 
 
 def _fill(rng: random.Random, fill: str, n: int, block: int) -> bytes:
@@ -134,13 +144,36 @@ def codec_corpus():
                     yield old, _edit(rng, old, kind, block, fraction), block
 
 
-def test_codec_deltas_match_golden_digest():
+def span_edge_corpus():
+    rng = random.Random(CODEC_SEED)
+    for block in SPAN_EDGE_BLOCKS:
+        first = FIRST_SPAN * block
+        old = rng.randbytes(4 * first + block // 2)
+        # a block-aligned cut past the first span: the COPY of old[:cut]
+        # outruns its span, so the next span starts at cut
+        cut = rng.randrange(FIRST_SPAN + 1, 2 * FIRST_SPAN) * block
+        for spans in (1, 3):
+            for d in (-1, 0, 1):
+                fresh = rng.randbytes(spans * first + d)
+                yield old, fresh + old, block
+                yield old, old[:cut] + fresh + old[cut:], block
+
+
+def _delta_digest(corpus) -> tuple[str, int]:
     h = hashlib.sha256()
     pairs = 0
-    for old, new, block in codec_corpus():
+    for old, new, block in corpus:
         delta = diff_encode(old, new, block)
         assert diff_apply(old, delta) == new
         h.update(delta)
         pairs += 1
+    return h.hexdigest(), pairs
+
+
+def test_codec_deltas_match_golden_digest():
+    digest, pairs = _delta_digest(codec_corpus())
     assert pairs == len(CODEC_FILLS) * len(CODEC_BLOCKS) * 2 * len(CODEC_EDITS)
-    assert h.hexdigest() == CODEC_GOLDEN
+    assert digest == CODEC_GOLDEN
+    digest, pairs = _delta_digest(span_edge_corpus())
+    assert pairs == len(SPAN_EDGE_BLOCKS) * 12
+    assert digest == SPAN_EDGE_GOLDEN

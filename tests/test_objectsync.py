@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echo_sched import objectsync
+from echo_sched import _blockmatch
 from echo_sched.model import CostProfile, Task
 from echo_sched.objectsync import (
     DEFAULT_BLOCK,
@@ -199,12 +199,12 @@ def test_uint32_window_sums_equal_the_int64_reference(fill, block):
     n = (1 << 20) + 4099
     data = (np.full(n, 0xFF, dtype=np.uint8) if fill == "0xff"
             else as_array(random.Random(block).randbytes(n)))
-    wsum, s2 = objectsync._window_sums(data, block)
+    wsum, s2 = _blockmatch._window_sums(data, block)
     assert wsum.dtype == s2.dtype == np.uint32
     ref = window_keys_int64(data, block)
     assert np.array_equal(wsum, ref >> np.uint64(32))
     assert np.array_equal(s2, ref & np.uint64(0xFFFFFFFF))
-    assert np.array_equal(objectsync._block_keys(data, block),
+    assert np.array_equal(_blockmatch._block_keys(data, block),
                           ref[::block][:n // block])
 
 
@@ -220,10 +220,10 @@ def test_prefiltered_candidates_equal_isin_over_every_window():
     ]
     for block in (64, 100, 1024):
         for o, n in pairs:
-            block_keys = objectsync._block_keys(as_array(o), block)
-            starts, keys = objectsync._candidates(
-                as_array(n), block, block_keys,
-                objectsync._prefilter(block_keys))
+            block_keys = _blockmatch._block_keys(as_array(o), block)
+            starts, keys = _blockmatch._candidates(
+                as_array(n), block, np.sort(block_keys),
+                _blockmatch._prefilter(block_keys))
             ref = window_keys_int64(as_array(n), block)
             expect = np.flatnonzero(np.isin(ref, block_keys))
             assert np.array_equal(starts, expect)
@@ -280,7 +280,7 @@ def span_edges(block: int, size: int) -> list[int]:
     """Offsets up to `size` on and next to where key spans end, counted
     from where a run of spans starts: every multiple of the first span,
     and the ends of doubling spans."""
-    first = objectsync._FIRST_SPAN * block
+    first = _blockmatch._FIRST_SPAN * block
     edges = {k * first for k in range(1, size // first + 1)}
     edges |= {(2**m - 1) * first for m in range(2, 8)}
     return sorted(at + d for at in edges for d in (-1, 0, 1)
@@ -290,7 +290,7 @@ def span_edges(block: int, size: int) -> list[int]:
 @st.composite
 def codec_pairs(draw):
     block = draw(st.sampled_from([64, 100, 1024]))
-    first = objectsync._FIRST_SPAN * block
+    first = _blockmatch._FIRST_SPAN * block
     fill = draw(st.sampled_from(["random", "zero", "two"]))
     size = draw(st.integers(1, 4)) * first \
         + draw(st.integers(-block + 1, block - 1))
@@ -339,14 +339,14 @@ def test_lazy_keying_equals_the_greedy_scan_over_every_window(pair):
 
 def count_keyed_windows(monkeypatch) -> list[int]:
     keyed = [0]
-    window_sums = objectsync._window_sums
+    window_sums = _blockmatch._window_sums
 
     def counting(data, block):
         wsum, s2 = window_sums(data, block)
         keyed[0] += len(wsum)
         return wsum, s2
 
-    monkeypatch.setattr(objectsync, "_window_sums", counting)
+    monkeypatch.setattr(_blockmatch, "_window_sums", counting)
     return keyed
 
 
@@ -369,7 +369,7 @@ def test_prepend_keys_at_most_twice_its_length(monkeypatch, prepended):
     new = rng.randbytes(prepended) + old
     delta = diff_encode(old, new)
     assert diff_apply(old, delta) == new
-    assert keyed[0] <= 2 * prepended + objectsync._FIRST_SPAN * DEFAULT_BLOCK
+    assert keyed[0] <= 2 * prepended + _blockmatch._FIRST_SPAN * DEFAULT_BLOCK
 
 
 def test_unrelated_payload_keys_each_window_once(monkeypatch):
@@ -389,10 +389,10 @@ def test_match_length_on_and_around_stride_boundaries():
     for end in (64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
                 2048, 4095):
         new = old[:end] + bytes([old[end] ^ 0xFF]) + old[end + 1:]
-        assert objectsync._match_length(old, new, 0, 0, 64) == end
-    assert objectsync._match_length(old, old, 0, 0, 64) == 4096
-    assert objectsync._match_length(old, old[:3000], 0, 0, 64) == 3000
-    assert objectsync._match_length(old, b"xy" + old, 64, 66, 64) == 4032
+        assert _blockmatch._match_length(old, new, 0, 0, 64) == end
+    assert _blockmatch._match_length(old, old, 0, 0, 64) == 4096
+    assert _blockmatch._match_length(old, old[:3000], 0, 0, 64) == 3000
+    assert _blockmatch._match_length(old, b"xy" + old, 64, 66, 64) == 4032
 
 
 def flip(payload: bytes, at: int) -> bytes:

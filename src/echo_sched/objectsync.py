@@ -62,6 +62,7 @@ class DigestMismatch(SyncError):
 
 def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> bytes:
     """Delta from `old` to `new` such that diff_apply(old, delta) == new."""
+    check_int("block_size", block_size)
     if block_size < MIN_BLOCK:
         raise ValueError(f"block_size must be >= {MIN_BLOCK}")
     if block_size > 0xFFFFFFFF:

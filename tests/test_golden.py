@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from echo_sched._blockmatch import _FIRST_SPAN as FIRST_SPAN
 from echo_sched.objectsync import SyncParams, diff_apply, diff_encode
 from echo_sched.sim import SimConfig, run
 from echo_sched.traceio import MixSpec, generate
@@ -85,10 +84,20 @@ CODEC_GOLDEN = (
 # COPY doubles the next.  These pairs put fresh bytes of one or three first
 # spans' length, give or take a byte, before old data, so the realigned
 # match starts on the last window of a span, on the first of the next, or
-# one past it.  Their deltas have a digest of their own.
+# one past it.  Their deltas have a digest of their own.  FIRST_SPAN is the
+# encoder's first span when the digest was generated; it is written out,
+# not imported, so that retuning the spans cannot change the pairs checked.
+FIRST_SPAN = 64
 SPAN_EDGE_BLOCKS = (64, 100, 1024)
 SPAN_EDGE_GOLDEN = (
     "84bf4022d3c8264180f9926df339685abfddd6cfaae32be0ba6ad5807756926d")
+# The same kind of pairs at the edges of spans of 8 blocks doubling up to
+# a cap of 32: a span run ends at 8, 24 and 56 blocks, then every 32
+# blocks.  Realigned matches land on and next to those ends, on the
+# multiples of the cap, and behind a COPY that outruns a first span.
+CAPPED_SPAN_EDGES = (8, 24, 32, 56, 64, 88, 96, 120)
+CAPPED_SPAN_GOLDEN = (
+    "fd5d9fef237415f1579dd19c1368916d572afac5e93ed49087d504f8359c756d")
 
 
 def _fill(rng: random.Random, fill: str, n: int, block: int) -> bytes:
@@ -159,6 +168,19 @@ def span_edge_corpus():
                 yield old, old[:cut] + fresh + old[cut:], block
 
 
+def capped_span_corpus():
+    rng = random.Random(CODEC_SEED)
+    for block in SPAN_EDGE_BLOCKS:
+        old = rng.randbytes(128 * block + block // 2)
+        # a block-aligned cut past a first span of 8 blocks
+        cut = rng.randrange(9, 16) * block
+        for blocks in CAPPED_SPAN_EDGES:
+            for d in (-1, 0, 1):
+                fresh = rng.randbytes(blocks * block + d)
+                yield old, fresh + old, block
+                yield old, old[:cut] + fresh + old[cut:], block
+
+
 def _delta_digest(corpus) -> tuple[str, int]:
     h = hashlib.sha256()
     pairs = 0
@@ -177,3 +199,6 @@ def test_codec_deltas_match_golden_digest():
     digest, pairs = _delta_digest(span_edge_corpus())
     assert pairs == len(SPAN_EDGE_BLOCKS) * 12
     assert digest == SPAN_EDGE_GOLDEN
+    digest, pairs = _delta_digest(capped_span_corpus())
+    assert pairs == len(SPAN_EDGE_BLOCKS) * len(CAPPED_SPAN_EDGES) * 6
+    assert digest == CAPPED_SPAN_GOLDEN

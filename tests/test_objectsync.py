@@ -92,6 +92,18 @@ def test_block_size_must_fit_its_wire_field():
     assert diff_apply(b"a" * 10, delta) == b"b" * 10
 
 
+@pytest.mark.parametrize("block_size", [1024.0, None, "1024"])
+@pytest.mark.parametrize("old,new", [
+    (b"a" * 4096, b"a" * 4096),  # identical: one COPY
+    (b"a" * 10, b"b" * 10),  # shorter than a block: one INSERT
+    (b"a" * 4096, b"b" * 4096),  # block matching
+], ids=["identical", "short", "blocks"])
+def test_block_size_must_be_an_integer(old, new, block_size):
+    # these once escaped as TypeError or struct.error, depending on the path
+    with pytest.raises(ValueError, match="block_size"):
+        diff_encode(old, new, block_size)
+
+
 def test_small_change_below_block_size():
     delta = diff_encode(b"AAAABBBB", b"AAAACCCC")
     assert diff_apply(b"AAAABBBB", delta) == b"AAAACCCC"
@@ -191,21 +203,40 @@ def as_array(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8)
 
 
+def polynomial_keys_reference(payload: bytes, block: int) -> np.ndarray:
+    """The encoder's key of every window, sum(x[j + k] * BASE**k) mod 2**32,
+    from Python ints and no inverse: rolling back from the last window,
+    key(j) = x[j] + BASE * (key(j + 1) - x[j + block] * BASE**(block - 1))."""
+    base, mod = _blockmatch._BASE, 1 << 32
+    top = pow(base, block - 1, mod)
+    windows = len(payload) - block + 1
+    keys = [0] * windows
+    key = sum(payload[windows - 1 + k] * pow(base, k, mod)
+              for k in range(block)) % mod
+    keys[-1] = key
+    for j in range(windows - 2, -1, -1):
+        key = (payload[j] + base * (key - payload[j + block] * top)) % mod
+        keys[j] = key
+    return np.array(keys, dtype=np.uint32)
+
+
 @pytest.mark.parametrize("block", [64, 1024])
 @pytest.mark.parametrize("fill", ["0xff", "random"])
-def test_uint32_window_sums_equal_the_int64_reference(fill, block):
-    # past 2**20 bytes the uint32 prefix sums behind the weighted sum wrap
-    # 2**32 many times over; the key must not notice
+def test_uint32_polynomial_keys_equal_the_python_int_reference(fill, block):
+    # past 2**20 bytes the uint32 prefix sum behind the key wraps 2**32
+    # many times over; the key must not notice
     n = (1 << 20) + 4099
-    data = (np.full(n, 0xFF, dtype=np.uint8) if fill == "0xff"
-            else as_array(random.Random(block).randbytes(n)))
-    wsum, s2 = _blockmatch._window_sums(data, block)
-    assert wsum.dtype == s2.dtype == np.uint32
-    ref = window_keys_int64(data, block)
-    assert np.array_equal(wsum, ref >> np.uint64(32))
-    assert np.array_equal(s2, ref & np.uint64(0xFFFFFFFF))
-    assert np.array_equal(_blockmatch._block_keys(data, block),
-                          ref[::block][:n // block])
+    payload = (b"\xff" * n if fill == "0xff"
+               else random.Random(block).randbytes(n))
+    data = as_array(payload)
+    powers, inverses = _blockmatch._tables(n)
+    keys = _blockmatch._window_keys(data, block, powers, inverses)
+    assert keys.dtype == np.uint32
+    ref = polynomial_keys_reference(payload, block)
+    assert np.array_equal(keys, ref)
+    block_keys = _blockmatch._block_keys(data, block, powers)
+    assert block_keys.dtype == np.uint32
+    assert np.array_equal(block_keys, ref[::block][:n // block])
 
 
 def test_prefiltered_candidates_equal_isin_over_every_window():
@@ -220,11 +251,12 @@ def test_prefiltered_candidates_equal_isin_over_every_window():
     ]
     for block in (64, 100, 1024):
         for o, n in pairs:
-            block_keys = _blockmatch._block_keys(as_array(o), block)
+            powers, inverses = _blockmatch._tables(len(n))
+            block_keys = _blockmatch._block_keys(as_array(o), block, powers)
             starts, keys = _blockmatch._candidates(
-                as_array(n), block, np.sort(block_keys),
+                as_array(n), block, powers, inverses, np.sort(block_keys),
                 _blockmatch._prefilter(block_keys))
-            ref = window_keys_int64(as_array(n), block)
+            ref = polynomial_keys_reference(n, block)
             expect = np.flatnonzero(np.isin(ref, block_keys))
             assert np.array_equal(starts, expect)
             assert np.array_equal(keys, ref[expect])
@@ -278,11 +310,17 @@ def reference_encode(old: bytes, new: bytes, block: int) -> bytes:
 
 def span_edges(block: int, size: int) -> list[int]:
     """Offsets up to `size` on and next to where key spans end, counted
-    from where a run of spans starts: every multiple of the first span,
-    and the ends of doubling spans."""
+    from where a run of spans starts: every multiple of the first span
+    (the cap's multiples among them), and the ends of spans doubling
+    from the first up to the cap, then growing by the cap."""
     first = _blockmatch._FIRST_SPAN * block
+    cap = _blockmatch._SPAN_CAP * block
     edges = {k * first for k in range(1, size // first + 1)}
-    edges |= {(2**m - 1) * first for m in range(2, 8)}
+    at, span = first, first
+    while at <= size:
+        edges.add(at)
+        span = min(2 * span, cap)
+        at += span
     return sorted(at + d for at in edges for d in (-1, 0, 1)
                   if 0 <= at + d <= size)
 
@@ -291,8 +329,9 @@ def span_edges(block: int, size: int) -> list[int]:
 def codec_pairs(draw):
     block = draw(st.sampled_from([64, 100, 1024]))
     first = _blockmatch._FIRST_SPAN * block
+    cap = _blockmatch._SPAN_CAP * block
     fill = draw(st.sampled_from(["random", "zero", "two"]))
-    size = draw(st.integers(1, 4)) * first \
+    size = draw(st.integers(1, 4)) * cap \
         + draw(st.integers(-block + 1, block - 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
@@ -307,8 +346,10 @@ def codec_pairs(draw):
     for _ in range(draw(st.integers(1, 2))):
         at = draw(st.sampled_from([0, len(new)] + span_edges(block, len(new))))
         # fresh bytes whose length ends on or next to the end of the first
-        # or the doubled span put the realigned match there
-        reach = draw(st.sampled_from([first, 3 * first])) \
+        # span, of a doubled one, of the first capped one or of the next,
+        # put the realigned match there
+        reach = draw(st.sampled_from(
+            [first, 3 * first, 7 * first, 7 * first + cap])) \
             + draw(st.integers(-1, 1))
         fresh = payload(reach) if draw(st.booleans()) \
             else rng.randbytes(reach)
@@ -339,14 +380,14 @@ def test_lazy_keying_equals_the_greedy_scan_over_every_window(pair):
 
 def count_keyed_windows(monkeypatch) -> list[int]:
     keyed = [0]
-    window_sums = _blockmatch._window_sums
+    window_keys = _blockmatch._window_keys
 
-    def counting(data, block):
-        wsum, s2 = window_sums(data, block)
-        keyed[0] += len(wsum)
-        return wsum, s2
+    def counting(data, block, powers, inverses):
+        keys = window_keys(data, block, powers, inverses)
+        keyed[0] += len(keys)
+        return keys
 
-    monkeypatch.setattr(_blockmatch, "_window_sums", counting)
+    monkeypatch.setattr(_blockmatch, "_window_keys", counting)
     return keyed
 
 
@@ -369,7 +410,9 @@ def test_prepend_keys_at_most_twice_its_length(monkeypatch, prepended):
     new = rng.randbytes(prepended) + old
     delta = diff_encode(old, new)
     assert diff_apply(old, delta) == new
-    assert keyed[0] <= 2 * prepended + _blockmatch._FIRST_SPAN * DEFAULT_BLOCK
+    # the span the realigned match starts in ends at most a capped span
+    # past it
+    assert keyed[0] <= prepended + (_blockmatch._SPAN_CAP + 1) * DEFAULT_BLOCK
 
 
 def test_unrelated_payload_keys_each_window_once(monkeypatch):

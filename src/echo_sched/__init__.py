@@ -11,8 +11,8 @@ diff_encode loads it on first use, so no other layer imports numpy.
 """
 
 from .engine import decide, estimate
-from .model import (CostProfile, Decision, Platform, Segment, Task,
-                    TraceError, from_seconds, to_seconds, validate_trace)
+from .model import (CostProfile, Decision, Platform, Task, TraceError,
+                    from_seconds, to_seconds, validate_trace)
 from .objectsync import (EagerTransfer, ObjectRecord, SyncParams,
                          TaskObjectSet, TransferAccountant, diff_apply,
                          diff_encode, lazy_bytes)
@@ -28,11 +28,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CostProfile", "Decision", "EagerTransfer", "EnergyParams",
     "LateTrialError", "MixSpec", "ObjectRecord", "POLICY_NAMES", "Platform",
-    "SchedulerError", "Segment", "SimConfig", "SimReport",
-    "StaleTrialError", "SyncParams", "Task", "TaskObjectSet", "TraceError",
-    "TraceFile", "TransferAccountant", "TrialInsertion", "VmQueue",
-    "best_vm", "build_policy", "commit", "decide", "diff_apply",
-    "diff_encode", "energy_of", "estimate", "from_seconds", "generate",
-    "lazy_bytes", "load", "run", "save", "to_seconds", "trial_insert",
-    "validate_trace",
+    "SchedulerError", "SimConfig", "SimReport", "StaleTrialError",
+    "SyncParams", "Task", "TaskObjectSet", "TraceError", "TraceFile",
+    "TransferAccountant", "TrialInsertion", "VmQueue", "best_vm",
+    "build_policy", "commit", "decide", "diff_apply", "diff_encode",
+    "energy_of", "estimate", "from_seconds", "generate", "lazy_bytes",
+    "load", "run", "save", "to_seconds", "trial_insert", "validate_trace",
 ]

@@ -159,25 +159,6 @@ class Decision:
         return self.platform.value
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous slice of one task's execution on one VM."""
-
-    task_id: str
-    work: int
-    scheduled_start: int
-    scheduled_end: int
-
-    def __post_init__(self) -> None:
-        if self.scheduled_end - self.scheduled_start != self.work:
-            raise ValueError(
-                f"segment length mismatch: [{self.scheduled_start}, {self.scheduled_end}] "
-                f"vs work {self.work}"
-            )
-        if self.work < 0 or self.scheduled_start < 0:
-            raise ValueError("segment times must be non-negative")
-
-
 def validate_trace(tasks) -> list[str]:
     """Check a task sequence against the cost-model assumptions.
 

@@ -7,7 +7,8 @@ lazy_bytes prices a proxy-first transfer of an object set.  The transfer
 models are what the simulator charges with, as pure arithmetic on profiled
 sizes so no payload is ever materialized: TransferAccountant applies the
 lazy and differential pricing rules, EagerTransfer ships profiled bytes
-as-is.  Each policy declares which one prices its offloads.
+as-is.  Each policy declares which one prices its offloads; both price a
+task with preview() and record an offload with commit().
 
 Delta wire format, little-endian:
 
@@ -219,7 +220,7 @@ class SyncParams:
 class TransferCost:
     up_bytes: int
     down_bytes: int
-    up_extra_us: int    # demand-fetch round trips added to the upload leg
+    up_us: int           # edge upload leg, demand-fetch round trip included
     backhaul_bytes: int  # background state sync between edge and cloud
 
 
@@ -229,33 +230,19 @@ class TransferAccountant:
     Pure arithmetic mirror of the object pipeline: no payloads change
     hands, only the sizes the pipeline would transmit.  State is keyed by
     (user_id, app): the first offload pays the referred resource slice in
-    full, later offloads pay deltas.  Baseline policies declare
-    EagerTransfer instead and pay profiled bytes as-is.
+    full, later offloads pay deltas: preview() reads that state, commit()
+    writes it.  Baseline policies declare EagerTransfer instead and pay
+    profiled bytes as-is.
     """
 
     def __init__(self, params: SyncParams | None = None):
         self.params = params or SyncParams()
         self._synced: set[tuple[str, str]] = set()
 
-    def upload_us(self, task) -> int:
-        """Edge upload leg if this task offloads now: the profiled leg scaled
-        to the bytes that move, plus the demand-fetch round trip."""
-        cost = self.preview(task)
-        profile = task.profile
-        base = profile.up_edge
-        if profile.upload_bytes > 0:
-            base = round(base * cost.up_bytes / profile.upload_bytes)
-        return base + cost.up_extra_us
-
     def preview(self, task) -> TransferCost:
-        """Cost if this task offloads now; no state change."""
-        return self._cost(task, commit=False)
-
-    def commit(self, task) -> TransferCost:
-        """Cost of actually offloading this task; caches the app state."""
-        return self._cost(task, commit=True)
-
-    def _cost(self, task, commit: bool) -> TransferCost:
+        """Cost if this task offloads now; no state change.  The upload leg
+        is the profiled one scaled to the bytes moved, plus the round trip
+        when state moves."""
         p = self.params
         profile = task.profile
         args = int(profile.upload_bytes * p.args_share)
@@ -263,22 +250,28 @@ class TransferAccountant:
         referred = int(resource * p.referred_share)
         proxies = p.objects_per_task * p.proxy_header
 
-        key = (task.user_id, task.app)
         if referred == 0:
             state_cost = 0
-        elif key in self._synced:
+        elif (task.user_id, task.app) in self._synced:
             state_cost = int(referred * p.change_fraction) + DELTA_HEADER_BUDGET
         else:
             state_cost = referred
-        extra = p.rtt_us if state_cost > 0 else 0
-        if commit:
-            self._synced.add(key)
+        up_bytes = args + proxies + state_cost
+        up_us = profile.up_edge
+        if profile.upload_bytes > 0:
+            up_us = round(up_us * up_bytes / profile.upload_bytes)
+        if state_cost > 0:
+            up_us += p.rtt_us
         return TransferCost(
-            up_bytes=args + proxies + state_cost,
+            up_bytes=up_bytes,
             down_bytes=profile.download_bytes,
-            up_extra_us=extra,
+            up_us=up_us,
             backhaul_bytes=state_cost,
         )
+
+    def commit(self, task) -> None:
+        """Record that this task offloaded: its app state is now cached."""
+        self._synced.add((task.user_id, task.app))
 
 
 class EagerTransfer:
@@ -287,9 +280,9 @@ class EagerTransfer:
     def __init__(self, params: SyncParams | None = None):
         """Profiled bytes need no knobs; `params` keeps one signature."""
 
-    def upload_us(self, task) -> int:
-        return task.profile.up_edge
-
-    def commit(self, task) -> TransferCost:
+    def preview(self, task) -> TransferCost:
         p = task.profile
-        return TransferCost(p.upload_bytes, p.download_bytes, 0, 0)
+        return TransferCost(p.upload_bytes, p.download_bytes, p.up_edge, 0)
+
+    def commit(self, task) -> None:
+        """Nothing is cached: the next offload pays the same bytes."""

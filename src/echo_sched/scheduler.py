@@ -13,7 +13,9 @@ step makes the winning candidate real.
 Time is integer microseconds throughout.  A queue's schedule is packed
 contiguously from `now`, except that a task's work may never start before
 its ready time (its input upload has to finish first), which can leave the
-VM idle ahead of an unready head-of-queue.
+VM idle ahead of an unready head-of-queue.  A queue exposes its pending
+chunks in order and each task's ready time and deadline, so any
+schedule's ends follow from them by that packing rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .model import Segment, Task
+from .model import Task
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +56,6 @@ class _TaskEntry:
         self.executed = 0
         self.first_start: int | None = None
         self.completion: int | None = None  # execution end, set once the last chunk runs
-
-    def clone(self) -> "_TaskEntry":
-        other = _TaskEntry(self.ready, self.deadline, self.total)
-        other.executed = self.executed
-        other.first_start = self.first_start
-        other.completion = self.completion
-        return other
 
 
 class VmQueue:
@@ -128,21 +123,6 @@ class VmQueue:
             ends, _ = _pack(self._chunks, self._entries, self.now)
             tail = self._tail = ends[-1] if ends else self.now
         return tail if tail > self.now else self.now
-
-    def schedule(self) -> list[Segment]:
-        """The pending schedule as absolute-time segments."""
-        ends, _ = _pack(self._chunks, self._entries, self.now)
-        return [Segment(tid, w, e - w, e)
-                for (tid, w), e in zip(self._chunks, ends)]
-
-    def clone(self) -> "VmQueue":
-        other = VmQueue(self.vm_index, self.now)
-        other.version = self.version
-        other._chunks = list(self._chunks)
-        other._entries = {tid: e.clone() for tid, e in self._entries.items()}
-        other._pending = self._pending
-        other._tail = self._tail
-        return other
 
     # ----------------------------------------------------------- mutations
 
@@ -253,17 +233,6 @@ class TrialInsertion:
     work: int
     _source: VmQueue = field(repr=False)
     _source_version: int = field(repr=False)
-
-    @property
-    def candidate_queue(self) -> VmQueue:
-        """The would-be queue state, materialized (for inspection/tests)."""
-        queue = self._source.clone()
-        queue._chunks = list(self.candidate_chunks)
-        queue._entries[self.task_id] = _TaskEntry(self.ready, self.deadline,
-                                                  self.work)
-        queue._pending += self.work
-        queue._tail = None
-        return queue
 
 
 def trial_insert(queue: VmQueue, task: Task, ready: int,

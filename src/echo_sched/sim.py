@@ -2,11 +2,13 @@
 
 run() replays a trace through one policy.  Decisions happen only at
 arrivals: each arrival first advances every VM's clock to the arrival
-instant, then the policy places the task.  Device and cloud tasks complete
-at their closed-form times; edge tasks complete when their scheduled work
-finishes plus the result download leg.  Everything is integer-microsecond
-arithmetic, so a run is deterministic and reports are byte-identical
-across repeats.
+instant, then the policy places the task.  The transfer model prices an
+offloadable task once, before the decision (its upload leg sets when the
+task's work may start on a VM), and commits the price only if the task
+leaves the device.  Device and cloud tasks complete at their closed-form
+times; edge tasks complete when their scheduled work finishes plus the
+result download leg.  Everything is integer-microsecond arithmetic, so a
+run is deterministic and reports are byte-identical across repeats.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class SimConfig:
             check(name, value)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        for name, kind in (("energy", EnergyParams), ("sync", SyncParams)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -242,10 +249,14 @@ def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     for task in ordered:
         for queue in queues:
             queue.advance(task.arrival)
-        ready = task.arrival + config.provision_delay + transfer.upload_us(task)
+        cost = transfer.preview(task) if task.offloadable else _NO_TRANSFER
+        ready = task.arrival + config.provision_delay + cost.up_us
         decision = policy.decide(task, queues, ready, config)
-        costs[task.id] = (_NO_TRANSFER if decision.platform is Platform.MOBILE
-                          else transfer.commit(task))
+        if decision.platform is Platform.MOBILE:
+            cost = _NO_TRANSFER
+        else:
+            transfer.commit(task)
+        costs[task.id] = cost
         decisions[task.id] = decision
 
     for queue in queues:

@@ -240,10 +240,3 @@ def step_oracle_run(trace, policy, config: SimConfig,
     assert report.to_dict() == run(tasks, policy, config).to_dict()
     return report
 
-
-def schedule_ends(queue) -> dict[str, int]:
-    """Per-task end of the last pending segment, via the public schedule."""
-    ends: dict[str, int] = {}
-    for segment in queue.schedule():
-        ends[segment.task_id] = segment.scheduled_end
-    return ends

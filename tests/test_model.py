@@ -1,4 +1,4 @@
-"""Data model: time conversion, profile validation, decisions, segments."""
+"""Data model: time conversion, profile validation, decisions."""
 
 import dataclasses
 import random
@@ -10,7 +10,6 @@ from echo_sched.model import (
     CostProfile,
     Decision,
     Platform,
-    Segment,
     Task,
     TraceError,
     from_seconds,
@@ -143,18 +142,6 @@ def test_validate_trace_rejects_duplicate_ids():
     tasks = [mk_task("t0"), mk_task("t0", arrival=1.0)]
     with pytest.raises(TraceError, match="t0"):
         validate_trace(tasks)
-
-
-def test_segment_work_must_match_interval():
-    seg = Segment(task_id="t0", work=sec(2.0), scheduled_start=sec(1.0),
-                  scheduled_end=sec(3.0))
-    assert seg.scheduled_end - seg.scheduled_start == seg.work
-    with pytest.raises(ValueError):
-        Segment(task_id="t0", work=sec(1.0), scheduled_start=sec(1.0),
-                scheduled_end=sec(3.0))
-    with pytest.raises(ValueError):
-        Segment(task_id="t0", work=-sec(2.0), scheduled_start=sec(3.0),
-                scheduled_end=sec(1.0))
 
 
 def test_decision_edge_requires_vm_index():

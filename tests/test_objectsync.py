@@ -528,23 +528,23 @@ def make_task(upload: int, download: int, user_id="u01", app="ocr") -> Task:
 
 def test_first_offload_pays_referred_state_in_full():
     acct = TransferAccountant()
-    cost = acct.commit(make_task(100_000, 5_000))
+    cost = acct.preview(make_task(100_000, 5_000))
     # args 50000 + proxies 4*64 + referred state 25000
     assert cost.up_bytes == 50_000 + 256 + 25_000
     assert cost.down_bytes == 5_000
     assert cost.backhaul_bytes == 25_000
-    assert cost.up_extra_us == 0
+    assert cost.up_us == 0
 
 
 def test_repeat_offload_pays_delta_priced_state():
     acct = TransferAccountant()
     acct.commit(make_task(100_000, 5_000))
-    cost = acct.commit(make_task(100_000, 5_000))
+    cost = acct.preview(make_task(100_000, 5_000))
     delta_state = int(25_000 * 0.25) + DELTA_HEADER_BUDGET
     assert cost.up_bytes == 50_000 + 256 + delta_state
     assert cost.backhaul_bytes == delta_state
     # a different user's app state is cold and pays in full again
-    other = acct.commit(make_task(100_000, 5_000, user_id="u02"))
+    other = acct.preview(make_task(100_000, 5_000, user_id="u02"))
     assert other.up_bytes == 50_000 + 256 + 25_000
 
 
@@ -553,18 +553,17 @@ def test_preview_never_warms_the_cache():
     first = acct.preview(make_task(100_000, 0))
     second = acct.preview(make_task(100_000, 0))
     assert first == second
-    committed = acct.commit(make_task(100_000, 0))
-    assert committed == first
+    assert acct.commit(make_task(100_000, 0)) is None
     assert acct.preview(make_task(100_000, 0)).up_bytes < first.up_bytes
 
 
 def test_demand_fetch_round_trip_applies_when_state_moves():
     acct = TransferAccountant(SyncParams(rtt_us=30_000))
-    cost = acct.commit(make_task(100_000, 0))
-    assert cost.up_extra_us == 30_000
-    bare = acct.commit(make_task(0, 0))
+    cost = acct.preview(make_task(100_000, 0))
+    assert cost.up_us == 30_000
+    bare = acct.preview(make_task(0, 0))
     assert bare.up_bytes == 256  # proxies only
-    assert bare.up_extra_us == 0
+    assert bare.up_us == 0
     assert bare.backhaul_bytes == 0
 
 

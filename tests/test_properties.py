@@ -13,6 +13,13 @@ run().  Draws are µs-granular, with edge runs of exactly 1 µs, bursts,
 `up_edge >= up_cloud` mixed in, a provision delay, 1-4 VMs,
 non-offloadable tasks, and upload bytes that make echo's lazy edge
 upload differ from the profiled leg.
+
+(b, c) Through the scheduler's own API, random trial_insert / commit /
+advance / append_fifo sequences on 1-3 queues raise nothing but
+LateTrialError.  After every commit, every admitted task's ticked end is
+at or before its deadline and no queued task's end moved earlier; after
+every operation, the work a 1 µs tick oracle executed plus the queue's
+pending work equals the work admitted.
 """
 
 import pytest
@@ -20,8 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echo_sched.model import CostProfile, Task
+from echo_sched.scheduler import LateTrialError, VmQueue, commit, trial_insert
 from echo_sched.sim import SimConfig, run
-from conftest import step_oracle_run
+from conftest import _SteppedVm, step_completions, step_oracle_run
 
 MS = 1000
 
@@ -112,3 +120,74 @@ def test_echo_never_loses_to_the_true_no_edge_bound(tasks, num_vms,
         p = task.profile
         bound = min(p.r_mobile, p.up_cloud + p.r_cloud + p.down_cloud)
         assert r.completion - r.arrival <= bound, (r.task_id, r.platform)
+
+
+@st.composite
+def queue_sessions(draw):
+    """(VM count, ops): µs-sized work, ready offsets and deadline slacks,
+    negative slacks included so that some commits must be refused."""
+    n_vms = draw(st.integers(1, 3))
+    vm = st.integers(0, n_vms - 1)
+    work, offset = st.integers(1, 20), st.integers(0, 10)
+    op = st.one_of(
+        st.tuples(st.just("advance"), vm, st.integers(0, 30)),
+        st.tuples(st.just("fifo"), vm, work, offset),
+        st.tuples(st.just("trial"), vm, work, offset,
+                  st.one_of(st.none(), st.integers(-5, 40)), st.booleans()))
+    return n_vms, draw(st.lists(op, min_size=1, max_size=40))
+
+
+def ticked_ends(queue, ready):
+    return step_completions(queue.future_chunks, ready, queue.now, dt=1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(session=queue_sessions())
+def test_library_api_keeps_deadlines_and_conserves_work(session):
+    n_vms, ops = session
+    queues = [VmQueue(i) for i in range(n_vms)]
+    oracles = [_SteppedVm(1) for _ in range(n_vms)]
+    work_of: dict[str, int] = {}
+    ready: dict[str, int] = {}
+    deadlines: dict[str, int] = {}
+    for i, (kind, vm, *args) in enumerate(ops):
+        queue, oracle = queues[vm], oracles[vm]
+        if kind == "advance":
+            oracle.step_until(queue.now, queue.now + args[0])
+            queue.advance(queue.now + args[0])
+        else:
+            tid, work, at = f"t{i}", args[0], queue.now + args[1]
+            task = Task(id=tid, user_id="u", app="x", arrival=queue.now,
+                        profile=CostProfile(0, work, 0, 0, 0, 0, 0))
+            before = ticked_ends(queue, ready)
+            placed = kind == "fifo"
+            if placed:
+                queue.append_fifo(task, at)
+            else:
+                slack, keep = args[2:]
+                deadline = None if slack is None else at + work + slack
+                trial = trial_insert(queue, task, at, deadline)
+                chunks = queue.future_chunks
+                try:
+                    if keep:
+                        commit(trial)
+                        placed = True
+                except LateTrialError:
+                    assert trial.candidate_completion > deadline
+                    assert queue.future_chunks == chunks
+                if placed and deadline is not None:
+                    deadlines[tid] = deadline
+            if placed:
+                work_of[tid], ready[tid] = work, at
+                oracle.resync(queue)
+                after = ticked_ends(queue, ready)
+                assert all(after[t] >= end for t, end in before.items()), tid
+                assert all(end <= deadlines[t] for t, end in after.items()
+                           if t in deadlines), tid
+        for q, o in zip(queues, oracles):
+            pending = q.load()
+            assert pending == sum(w for _, w in q.future_chunks)
+            executed = sum(work_of[t] - left for t, left in o.totals.items())
+            assert executed + pending == sum(work_of[t] for t in o.totals)
+            assert all(end <= deadlines[t] for t, end in o.done.items()
+                       if t in deadlines)

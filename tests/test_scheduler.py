@@ -20,7 +20,7 @@ from echo_sched.scheduler import (
     commit,
     trial_insert,
 )
-from conftest import SEC, sec, step_completions, schedule_ends
+from conftest import SEC, sec, step_completions
 
 
 def task_us(tid: str, work: int, arrival: int = 0) -> Task:
@@ -38,17 +38,23 @@ def admit(queue: VmQueue, tid: str, work: int, ready: int,
     return trial
 
 
-def oracle_ends(queue: VmQueue) -> dict[str, int]:
+def oracle_ends(queue: VmQueue, dt: int = 1000) -> dict[str, int]:
     ready = {tid: queue.ready_of(tid) for tid, _ in queue.future_chunks}
-    return step_completions(queue.future_chunks, ready, queue.now)
+    return step_completions(queue.future_chunks, ready, queue.now, dt)
 
 
-def assert_totals(queue: VmQueue) -> None:
+def trial_ends(queue: VmQueue, trial, dt: int = 1000) -> dict[str, int]:
+    """Ticked ends of the trial's candidate schedule on its source queue."""
+    ready = {tid: queue.ready_of(tid) for tid, _ in queue.future_chunks}
+    ready[trial.task_id] = trial.ready
+    return step_completions(trial.candidate_chunks, ready, queue.now, dt)
+
+
+def assert_totals(queue: VmQueue, dt: int = 1000) -> None:
     """The running load() and horizon() equal a recount from the chunks."""
     assert queue.load() == sum(w for _, w in queue.future_chunks)
-    segments = queue.schedule()
-    assert queue.horizon() == (segments[-1].scheduled_end if segments
-                               else queue.now)
+    ends = oracle_ends(queue, dt)
+    assert queue.horizon() == max(ends.values(), default=queue.now)
 
 
 # ---------------------------------------------------------------- queries
@@ -74,7 +80,7 @@ def test_remaining_work_sums_future_segments():
     admit(q, "a", sec(5), 0, None)
     q.advance(sec(2))
     assert q.remaining_work("a") == sec(3)
-    future = sum(s.work for s in q.schedule() if s.task_id == "a")
+    future = sum(w for tid, w in q.future_chunks if tid == "a")
     assert future == sec(3)
     assert q.load() == sec(3)
 
@@ -158,7 +164,7 @@ def test_trial_repair_evicts_whole_chunks_then_part_of_one():
     assert trial.candidate_chunks == (
         ("n", sec(3)), ("a", sec(9)), ("n", sec(1)), ("b", sec(6)))
     assert trial.repair_iterations == 1
-    ends = oracle_ends(trial.candidate_queue)
+    ends = trial_ends(q, trial)
     assert ends == {"n": sec(17), "a": sec(16), "b": sec(23)}
     assert trial.candidate_completion == sec(17)
     assert trial.delta_t == sec(35)  # 17s response + 1s on a + 17s on b
@@ -212,7 +218,7 @@ def test_trial_repair_checks_tasks_beyond_first_violator():
     assert trial.candidate_chunks == (
         ("m", sec(3)), ("k", sec(10)), ("n", sec(2)))
     assert trial.repair_iterations == 2
-    ends = oracle_ends(trial.candidate_queue)
+    ends = trial_ends(q, trial)
     assert ends["m"] == sec(3) and ends["k"] == sec(13)
     assert trial.delta_t == sec(15)
 
@@ -375,9 +381,9 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
     Admission mimics the decision engine: commit only when the newcomer
     itself meets its deadline.  Checks, per trial: growth equals direct
     summation over per-task delays, no queued task is pulled earlier, no
-    queued deadline is violated, the packed schedule matches the tick
-    oracle, and repair rounds stay bounded.  At the end, every completed
-    task met its deadline.
+    queued deadline is violated, the trial's completion and growth match
+    the tick oracle's ends, and repair rounds stay bounded.  At the end,
+    every completed task met its deadline.
     """
     rng = random.Random(seed)
     queues = [VmQueue(i) for i in range(n_vms)]
@@ -388,7 +394,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         now += rng.randrange(0, 1500) * unit
         for q in queues:
             q.advance(now)
-            assert_totals(q)
+            assert_totals(q, unit)
         work = rng.randrange(1, 4000) * unit
         ready = now + rng.randrange(0, 400) * unit
         if rng.random() < 0.2:
@@ -405,10 +411,9 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
                          if t.delta_t == chosen.delta_t)
 
         for q, trial in zip(queues, trials):
-            old = schedule_ends(q)
-            cand = trial.candidate_queue
-            assert_totals(cand)
-            new = schedule_ends(cand)
+            old = oracle_ends(q, unit)
+            new = trial_ends(q, trial, unit)
+            assert new[task.id] == trial.candidate_completion
             growth = new[task.id] - task.arrival
             for tid, end in old.items():
                 inflicted = new[tid] - end
@@ -421,10 +426,6 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
                 limit = q.deadline_of(tid)
                 if limit is not None:
                     assert new[tid] <= limit, f"{tid} late in candidate"
-            ready_map = {tid: cand.ready_of(tid)
-                         for tid, _ in trial.candidate_chunks}
-            assert step_completions(trial.candidate_chunks, ready_map,
-                                    q.now, dt=unit) == new
             assert trial.repair_iterations <= len(set(
                 tid for tid, _ in q.future_chunks)) + 2
 
@@ -440,7 +441,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
 
         if deadline is None or chosen.candidate_completion <= deadline:
             commit(chosen)
-            assert_totals(queues[vm])
+            assert_totals(queues[vm], unit)
             if deadline is not None:
                 deadlines[task.id] = (vm, deadline)
             admitted += 1
@@ -449,7 +450,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
     for q in queues:
         q.advance(horizon)
         assert q.load() == 0
-        assert_totals(q)
+        assert_totals(q, unit)
     for tid, (vm, limit) in deadlines.items():
         done = queues[vm].completion_of(tid)
         assert done is not None
@@ -481,10 +482,10 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
     """Interleave best-effort FIFO appends with trial/commit admissions.
 
     FIFO tasks go to the least-loaded VM, as the mcloud policy places them.
-    Every append_fifo return must equal the tick oracle's end of the
-    appended task, and load() and horizon() must match a recount after
-    every advance, append, trial and commit.  Returns the number of
-    appends.
+    Every append_fifo return and every trial's completion must equal the
+    tick oracle's end of the new task, and load() and horizon() must
+    match a recount after every advance, append and commit.  Returns the
+    number of appends.
     """
     rng = random.Random(seed)
     queues = [VmQueue(i) for i in range(n_vms)]
@@ -508,7 +509,8 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
         deadline = (None if rng.random() < 0.3
                     else ready + work + rng.randrange(0, 2500) * 1000)
         trial = best_vm(queues, task, ready, deadline)
-        assert_totals(trial.candidate_queue)
+        assert (trial_ends(queues[trial.vm_index], trial)[task.id]
+                == trial.candidate_completion), f"seed {seed}"
         if deadline is None or trial.candidate_completion <= deadline:
             commit(trial)
             assert_totals(queues[trial.vm_index])

@@ -10,7 +10,7 @@ import pytest
 
 from echo_sched.model import (CostProfile, Decision, Platform, Task, TraceError,
                               to_seconds)
-from echo_sched.objectsync import SyncParams
+from echo_sched.objectsync import DELTA_HEADER_BUDGET, SyncParams
 from echo_sched.policies import (POLICY_NAMES, BestEffortEdgePolicy,
                                  DeadlineAwareEdgePolicy, build_policy)
 from echo_sched.sim import (
@@ -246,6 +246,35 @@ def test_eager_transfer_follows_the_policy_not_its_name():
     assert impostor.aggregates == eager.aggregates
 
 
+def test_echo_prices_each_offload_by_the_state_it_moves():
+    # One (user, app): the device wins the first task, so it moves no bytes
+    # and leaves the app state cold; the second offload ships the referred
+    # state in full, the third only its delta.  Each edge upload leg is the
+    # profiled one scaled to the bytes moved, plus the round trip.
+    rtt, delay, upload = 100_000, sec(0.2), 100_000
+    tasks = [mk_task(tid, arrival=arrival, r_mobile=r_mobile, r_edge=2.0,
+                     up_edge=0.5, upload_bytes=upload, download_bytes=5_000)
+             for tid, arrival, r_mobile in (("a", 0.0, 1.0), ("b", 10.0, 10.0),
+                                            ("c", 20.0, 10.0))]
+    config = SimConfig(num_vms=1, provision_delay=delay,
+                       sync=SyncParams(rtt_us=rtt))
+    report = run(tasks, "echo", config)
+    a, b, c = report.records
+    assert a.platform == "mobile"
+    assert (a.bytes_up, a.bytes_down) == (0, 0)
+    args, proxies, referred = 50_000, 4 * 64, 25_000
+    delta = int(referred * 0.25) + DELTA_HEADER_BUDGET
+    for record, task, state in ((b, tasks[1], referred), (c, tasks[2], delta)):
+        up_bytes = args + proxies + state
+        assert record.platform == "edge:0"
+        assert (record.bytes_up, record.bytes_down) == (up_bytes, 5_000)
+        p = task.profile
+        assert record.ready == (task.arrival + delay
+                                + round(p.up_edge * up_bytes / p.upload_bytes)
+                                + rtt)
+    assert report.aggregates["backhaul_bytes"] == referred + delta
+
+
 def test_provision_delay_shifts_edge_ready_times():
     task = mk_task("t0", r_mobile=10.0, r_edge=2.0, up_edge=0.5,
                    up_cloud=3.0, r_cloud=3.0, down_cloud=3.0)
@@ -399,6 +428,15 @@ def test_config_rejects_non_int_seed_and_non_real_lambda():
             SimConfig(num_vms=1, lam=bad)
     assert SimConfig(num_vms=1, lam=2).lam == 2
     assert SimConfig(num_vms=1, seed=7, lam=0.5).seed == 7
+
+
+def test_config_rejects_settings_of_the_wrong_type():
+    # sync=None once ran on default SyncParams but reported "sync": null;
+    # energy=None and a dict for sync died mid-run on an AttributeError
+    for name, bad in (("sync", None), ("energy", None),
+                      ("sync", {"rtt_us": 5})):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(num_vms=1, **{name: bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

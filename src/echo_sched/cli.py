@@ -78,32 +78,33 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="alternative app profile INI (default: built-in)")
     gen.set_defaults(handler=_cmd_gen_traces)
 
-    simulate = sub.add_parser("simulate", help="replay a trace through a policy")
+    # run settings shared by simulate and compare
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--vms", type=int, required=True,
+                          help="edge VM count (0 disables the edge)")
+    settings.add_argument("--lambda-label", dest="lam", type=float,
+                          help="arrival rate echoed into the report")
+    settings.add_argument("--seed", type=int, default=0)
+    settings.add_argument("--provision-delay", type=float, default=0.0,
+                          help="seconds between admission and VM readiness")
+    settings.add_argument("--estimate-noise", type=float, default=0.0,
+                          help="multiplicative error on device/cloud "
+                               "estimates (disables the completion guarantee)")
+
+    simulate = sub.add_parser("simulate", parents=[settings],
+                              help="replay a trace through a policy")
     simulate.add_argument("--trace", required=True)
     simulate.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    simulate.add_argument("--vms", type=int, required=True,
-                          help="edge VM count (0 disables the edge)")
-    simulate.add_argument("--lambda-label", dest="lam", type=float, default=None,
-                          help="arrival rate echoed into the report")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--provision-delay", type=float, default=0.0,
-                          help="seconds between admission and VM readiness")
-    simulate.add_argument("--estimate-noise", type=float, default=0.0,
-                          help="multiplicative error on device/cloud estimates "
-                               "(disables the completion guarantee)")
     simulate.add_argument("--out", default=None,
                           help="report path prefix (default: derived from "
                                "trace, policy, and VM count)")
     simulate.set_defaults(handler=_cmd_simulate)
 
-    compare = sub.add_parser("compare", help="run several policies on one trace")
+    compare = sub.add_parser("compare", parents=[settings],
+                             help="run several policies on one trace")
     compare.add_argument("--trace", required=True)
-    compare.add_argument("--vms", type=int, required=True)
     compare.add_argument("--policies", default=",".join(POLICY_NAMES),
                          help="comma-separated policy names (default: all)")
-    compare.add_argument("--lambda-label", dest="lam", type=float, default=None)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--provision-delay", type=float, default=0.0)
     compare.add_argument("--out", required=True, help="output directory")
     compare.set_defaults(handler=_cmd_compare)
 
@@ -137,7 +138,7 @@ def _make_config(args: argparse.Namespace) -> SimConfig:
         lam=args.lam,
         seed=args.seed,
         provision_delay=from_seconds(args.provision_delay),
-        estimate_noise=getattr(args, "estimate_noise", 0.0),
+        estimate_noise=args.estimate_noise,
     )
 
 

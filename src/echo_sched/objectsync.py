@@ -21,7 +21,9 @@ Delta wire format, little-endian:
 diff_encode's block matcher lives in _blockmatch and loads, with numpy,
 on the first pair that reaches it; everything here is plain Python.
 
-Applying a delta against the wrong base payload fails the digest check.
+Applying a delta against the wrong base payload fails the digest check;
+any other break of the wire format raises SyncError.  Only the base is
+digested, so damage that keeps the framing intact goes undetected.
 For any inputs, len(delta) <= len(new) + DELTA_HEADER_BUDGET as long as
 block_size >= MIN_BLOCK (each COPY op's 13 bytes displaces at least
 MIN_BLOCK literal bytes).
@@ -101,25 +103,26 @@ def diff_apply(old: bytes, delta: bytes) -> bytes:
 
     pieces: list[bytes] = []
     at = _HEADER.size
-    for _ in range(op_count):
-        if at >= len(delta):
-            raise SyncError("delta truncated: missing op")
-        tag = delta[at]
-        if tag == _OP_COPY:
-            _, offset, length = _COPY.unpack_from(delta, at)
-            at += _COPY.size
-            if offset + length > len(old):
-                raise SyncError("copy op out of base payload bounds")
-            pieces.append(old[offset:offset + length])
-        elif tag == _OP_INSERT:
-            _, length = _INSERT_HEAD.unpack_from(delta, at)
-            at += _INSERT_HEAD.size
-            if at + length > len(delta):
-                raise SyncError("delta truncated: insert payload")
-            pieces.append(delta[at:at + length])
-            at += length
-        else:
-            raise SyncError(f"unknown delta op tag {tag}")
+    try:
+        for _ in range(op_count):
+            tag = delta[at]
+            if tag == _OP_COPY:
+                _, offset, length = _COPY.unpack_from(delta, at)
+                at += _COPY.size
+                if offset + length > len(old):
+                    raise SyncError("copy op out of base payload bounds")
+                pieces.append(old[offset:offset + length])
+            elif tag == _OP_INSERT:
+                _, length = _INSERT_HEAD.unpack_from(delta, at)
+                at += _INSERT_HEAD.size
+                if at + length > len(delta):
+                    raise SyncError("delta truncated: insert payload")
+                pieces.append(delta[at:at + length])
+                at += length
+            else:
+                raise SyncError(f"unknown delta op tag {tag}")
+    except (IndexError, struct.error):  # an op's tag or head is cut short
+        raise SyncError(f"delta truncated: op at byte {at}") from None
     if at != len(delta):
         raise SyncError(f"{len(delta) - at} trailing bytes after ops")
     return b"".join(pieces)

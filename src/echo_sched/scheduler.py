@@ -65,12 +65,12 @@ class VmQueue:
     order; advance() drops the elapsed part of a preempted or running task,
     which can never be displaced.  Two running totals spare load() and
     horizon() a walk over the queue: `_pending` is the chunks' total work,
-    and `_tail` the packed end of the last chunk, or None after a commit
-    until horizon() repacks.  advance() keeps `_tail` valid because it
-    executes the packing rule itself (on an emptied queue it is at most
-    `now`), and append_fifo() extends it in O(1).  The same cached tail
-    prices trial_insert()'s tail append, so a trial that preempts nobody
-    packs nothing.
+    and `_tail` the packed end of the last chunk.  advance() keeps `_tail`
+    valid because it executes the packing rule itself (on an emptied queue
+    it is at most `now`), append_fifo() extends it in O(1), and commit()
+    takes it from the trial, which has priced the new schedule anyway.
+    The same tail prices trial_insert()'s tail append, so a trial that
+    preempts nobody packs nothing.
     """
 
     __slots__ = ("vm_index", "now", "version", "_chunks", "_entries",
@@ -83,7 +83,7 @@ class VmQueue:
         self._chunks: list[tuple[str, int]] = []
         self._entries: dict[str, _TaskEntry] = {}
         self._pending = 0
-        self._tail: int | None = now
+        self._tail = now
 
     # ------------------------------------------------------------- queries
 
@@ -92,6 +92,7 @@ class VmQueue:
         try:
             entry = self._entries[task_id]
         except KeyError:
+            # Callers ask only about tasks they placed on this VM.
             raise SchedulerError(f"unknown task {task_id!r} on vm {self.vm_index}") from None
         return entry.total - entry.executed
 
@@ -118,11 +119,7 @@ class VmQueue:
 
     def horizon(self) -> int:
         """Time by which all currently queued work will have executed."""
-        tail = self._tail
-        if tail is None:
-            ends, _ = _pack(self._chunks, self._entries, self.now)
-            tail = self._tail = ends[-1] if ends else self.now
-        return tail if tail > self.now else self.now
+        return self._tail if self._tail > self.now else self.now
 
     # ----------------------------------------------------------- mutations
 
@@ -167,6 +164,7 @@ class VmQueue:
         Returns the execution end time under the current schedule.
         """
         if task.id in self._entries:
+            # Task ids are unique per trace, so a repeat is a caller bug.
             raise SchedulerError(f"task {task.id!r} already on vm {self.vm_index}")
         work = task.profile.r_edge
         horizon = self.horizon()
@@ -218,13 +216,15 @@ class TrialInsertion:
     """Outcome of tentatively inserting one task into one VM's queue.
 
     delta_t is the completion-time growth: the newcomer's response time
-    plus every delay inflicted on already-queued tasks.  The trial never
-    mutates the source queue; commit() applies it.
+    plus every delay inflicted on already-queued tasks; tail is the packed
+    end of the candidate's last chunk.  The trial never mutates the source
+    queue; commit() applies it.
     """
 
     vm_index: int
     delta_t: int
     candidate_completion: int
+    tail: int
     repair_iterations: int
     candidate_chunks: tuple[tuple[str, int], ...]
     task_id: str
@@ -258,11 +258,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
 
     # SRTF scan: first queued task with more remaining work than the newcomer.
     insert_at: int | None = None
-    seen: set[str] = set()
     for idx, (tid, _) in enumerate(original):
-        if tid in seen:
-            continue
-        seen.add(tid)
         entry = entries[tid]
         if entry.total - entry.executed > work:
             insert_at = idx
@@ -271,7 +267,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     repair_iterations = 0
     candidate = new_ends = None
     if insert_at is not None:
-        candidate, new_ends, repair_iterations = _repair(
+        candidate, new_ends, tail, repair_iterations = _repair(
             original, entries, now, task.id, ready, work, insert_at,
             queue.vm_index)
     delay = 0
@@ -280,7 +276,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         # append delays nobody and is therefore always admissible.
         candidate_chunks = (*original, (task.id, work))
         horizon = queue.horizon()
-        completion = (ready if ready > horizon else horizon) + work
+        completion = tail = (ready if ready > horizon else horizon) + work
     else:
         # Every chunk has positive work, so merging adjacent chunks of one
         # task moves no end: the repair's task ends price the merged list.
@@ -289,6 +285,8 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         for tid, end in old_ends.items():
             inflicted = new_ends[tid] - end
             if inflicted < 0:
+                # The newcomer only adds work ahead of queued tasks, and repair
+                # pins a violator at its deadline, at or after its old end.
                 raise SchedulerError(
                     f"insertion of {task.id!r} pulled {tid!r} earlier on vm "
                     f"{queue.vm_index}; schedule corrupted")
@@ -300,6 +298,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         vm_index=queue.vm_index,
         delta_t=delta_t,
         candidate_completion=completion,
+        tail=tail,
         repair_iterations=repair_iterations,
         candidate_chunks=candidate_chunks,
         task_id=task.id,
@@ -319,7 +318,8 @@ def _repair(original: list[tuple[str, int]],
             work: int,
             insert_at: int,
             vm_index: int
-            ) -> tuple[list[tuple[str, int]] | None, dict[str, int] | None, int]:
+            ) -> tuple[list[tuple[str, int]] | None, dict[str, int] | None,
+                       int, int]:
     """Insert the newcomer at insert_at and repair deadline violations.
 
     Each round packs the candidate once, finds the first admitted task
@@ -329,10 +329,19 @@ def _repair(original: list[tuple[str, int]],
     next round's insertion.  Pinned tasks and the violator's own chunks
     are never evicted, so a pinned task can only ever finish earlier, and
     every round pins a distinct task: the loop terminates.  Returns
-    (candidate, task ends, rounds), the ends being the final round's pack,
-    or (None, None, rounds) when a round has nothing movable left to evict
-    or no eviction amount lands the violator exactly on its deadline; the
-    caller falls back to a tail append then.
+    (candidate, task ends, tail, rounds) from the final round's pack, tail
+    being its last chunk's end, or (None, None, 0, rounds) when a round has
+    nothing movable left to evict or no eviction amount lands the violator
+    exactly on its deadline; the caller falls back to a tail append then.
+
+    Invariant: every committed task's pre-trial end is at or before its
+    deadline.  commit() refuses a late newcomer, repair pins each violator
+    at its deadline, and tail appends and advance() move no end.  So the
+    violator's chain, its chunks after the walk's source, never waits for
+    its ready time: then no chunk of it could sit before the source, and
+    it would end at its ready time plus its remaining work, by its
+    pre-trial end, and be on time.  The chain starts at the source's end,
+    so a partial eviction takes more than nothing; the walk asserts it.
     """
     candidate = list(original)
     pending = [(new_id, work)]
@@ -353,24 +362,20 @@ def _repair(original: list[tuple[str, int]],
         # re-checked each round: an insertion can delay a task whose last
         # chunk lies far past the round's violator, and an earlier round's
         # break must not hide it.
-        violator: str | None = None
-        seen: set[str] = set()
-        for tid, _ in candidate:
-            if tid == new_id or tid in pinned or tid in seen:
+        for violator, _ in candidate:
+            if violator == new_id or violator in pinned:
                 continue
-            seen.add(tid)
-            limit = entries[tid].deadline
-            if limit is not None and ends[tid] > limit:
-                violator = tid
+            limit = entries[violator].deadline
+            if limit is not None and ends[violator] > limit:
                 break
-        if violator is None:
-            return candidate, ends, rounds
+        else:
+            return candidate, ends, chunk_ends[-1], rounds
         rounds += 1
         if rounds > guard:
+            # Each round pins a distinct admitted task, so the rounds are
+            # bounded by the task count; more means the pinning broke.
             raise SchedulerError(
                 f"repair loop exceeded {guard} rounds on vm {vm_index}")
-        limit = entries[violator].deadline
-        assert limit is not None
         ready_v = entries[violator].ready
         end = ends[violator]
         # Every chunk has positive work, so chunk ends strictly increase and
@@ -389,17 +394,15 @@ def _repair(original: list[tuple[str, int]],
                 tail += candidate[source][1]
                 source -= 1
             if source < floor:
-                return None, None, rounds
+                return None, None, 0, rounds
             tid, w = candidate[source]
             # Shrinking the source by `take` moves the violator's end
             # earlier by exactly min(take, source_end - ready_v): the
             # violator's ready time caps how far its chain can slide.
             before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
-            if full_end >= end:
-                # The chain is gated at the violator's ready time; no
-                # eviction anywhere earlier can pull its end in.
-                return None, None, rounds
+            assert full_end < end, (f"{violator!r} gated at its ready time "
+                                    f"on vm {vm_index}: it was already late")
             if full_end >= limit:
                 del candidate[source]
                 evicted.append((tid, w))
@@ -411,8 +414,8 @@ def _repair(original: list[tuple[str, int]],
             # deadline; removing the whole chunk would also collapse the
             # idle gap in front of it and overshoot the correction.
             take = chunk_ends[source] - (limit - tail)
-            if take >= w or take <= 0:
-                return None, None, rounds
+            if take >= w:
+                return None, None, 0, rounds
             candidate[source] = (tid, w - take)
             evicted.append((tid, take))
             break
@@ -427,13 +430,8 @@ def best_vm(queues: list[VmQueue], task: Task, ready: int,
     """Trial on every VM; pick minimum completion-time growth (ties: lowest index)."""
     if not queues:
         raise SchedulerError("no VMs configured")
-    best: TrialInsertion | None = None
-    for queue in queues:
-        trial = trial_insert(queue, task, ready, deadline)
-        if best is None or trial.delta_t < best.delta_t:
-            best = trial
-    assert best is not None
-    return best
+    return min((trial_insert(queue, task, ready, deadline) for queue in queues),
+               key=lambda trial: trial.delta_t)
 
 
 def commit(trial: TrialInsertion) -> None:
@@ -456,7 +454,7 @@ def commit(trial: TrialInsertion) -> None:
     queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
                                                trial.work)
     queue._pending += trial.work
-    queue._tail = None
+    queue._tail = trial.tail
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
                  queue.vm_index, trial.task_id, trial.candidate_completion,

@@ -192,20 +192,17 @@ CSV_COLUMNS = [
 
 
 def energy_of(task: Task, decision: Decision, bytes_up: int, bytes_down: int,
-              params: EnergyParams, completion: int | None = None) -> float:
+              params: EnergyParams, completion: int) -> float:
     """Device-side energy of one realized task, in joules.
 
     Local execution burns CPU power for the run time.  An offloaded task
     burns radio power while bytes move (transfer legs scaled by the bytes
     actually sent relative to the profiled payload) and idle power for the
-    rest of the wait until the realized completion; pass `completion` when
-    it differs from the decision's prediction.
+    rest of the wait until the realized completion.
     """
     profile = task.profile
     if decision.platform is Platform.MOBILE:
         return params.p_cpu_mobile * to_seconds(profile.r_mobile)
-    if completion is None:
-        completion = decision.predicted_completion
     if decision.platform is Platform.EDGE:
         up_leg, down_leg = profile.up_edge, profile.down_edge
     else:
@@ -290,13 +287,13 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
         assert vm_index is not None
         queue = queues[vm_index]
         ready = queue.ready_of(task.id)
-        start_opt = queue.first_start_of(task.id)
-        exec_end_opt = queue.completion_of(task.id)
-        if start_opt is None or exec_end_opt is None:
+        start = queue.first_start_of(task.id)
+        exec_end = queue.completion_of(task.id)
+        if start is None or exec_end is None:
+            # run() drains every queue to its horizon before realizing.
             raise SimError(f"edge task {task.id!r} never finished executing")
-        start = start_opt
-        completion = exec_end_opt + p.down_edge
-        waiting = exec_end_opt - ready - p.r_edge
+        completion = exec_end + p.down_edge
+        waiting = exec_end - ready - p.r_edge
     deadline = decision.deadline
     met = (completion <= deadline) if deadline is not None else None
     energy = energy_of(task, decision, cost.up_bytes, cost.down_bytes,
@@ -311,7 +308,7 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
     )
 
 
-def _aggregate(records: list[TaskRecord], backhaul: int = 0) -> dict:
+def _aggregate(records: list[TaskRecord], backhaul: int) -> dict:
     counts = {"mobile": 0, "edge": 0, "cloud": 0}
     responses: list[int] = []
     waits: list[int] = []

@@ -178,6 +178,23 @@ def test_compare_writes_per_policy_reports_and_table(tmp_path):
     assert int(echo_row[4]) < int(rows[2][4])
 
 
+def test_compare_takes_every_simulate_run_setting(tmp_path):
+    # compare once rejected --estimate-noise as an unrecognized argument
+    trace = make_trace(tmp_path)
+    settings = ("--vms", 2, "--lambda-label", 2.0, "--seed", 3,
+                "--provision-delay", 0.01, "--estimate-noise", 0.3)
+    result = run_cli("compare", "--trace", trace, "--policies", "echo",
+                     *settings, "--out", tmp_path / "cmp", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                     *settings, "--out", tmp_path / "sim", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "cmp" / "echo.json").read_bytes() == \
+        (tmp_path / "sim.json").read_bytes()
+    assert json.loads((tmp_path / "sim.json").read_text())["config"][
+        "estimate_noise"] == 0.3
+
+
 def test_compare_rejects_unknown_policy(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("compare", "--trace", trace, "--vms", 1,

@@ -84,9 +84,11 @@ def test_from_empty_ships_full_payload():
 
 def test_block_size_must_fit_its_wire_field():
     # the header stores block_size as u32; a larger one once escaped as
-    # struct.error from the header pack
-    with pytest.raises(ValueError, match="block_size"):
-        diff_encode(b"a" * 10, b"b" * 10, 2**32)
+    # struct.error from the header pack.  diff_apply rejects blocks below
+    # 64 as corrupt, so the encoder refuses to write them.
+    for bad in (63, 2**32):
+        with pytest.raises(ValueError, match="block_size"):
+            diff_encode(b"a" * 10, b"b" * 10, bad)
     delta = diff_encode(b"a" * 10, b"b" * 10, 2**32 - 1)
     assert HEADER.unpack_from(delta, 0)[3] == 2**32 - 1
     assert diff_apply(b"a" * 10, delta) == b"b" * 10
@@ -165,16 +167,40 @@ def test_apply_rejects_wrong_base():
 def test_apply_rejects_corrupt_frames():
     old = b"a" * 4096
     delta = diff_encode(old, old)
-    with pytest.raises(SyncError):
-        diff_apply(old, delta[:20])  # truncated header
-    with pytest.raises(SyncError):
-        diff_apply(old, delta + b"junk")  # trailing bytes
-    with pytest.raises(SyncError):
-        diff_apply(old, b"NOPE" + delta[4:])  # bad magic
-    bad_copy = HEADER.pack(b"ODLT", 1, hashlib.sha256(old).digest(),
-                           DEFAULT_BLOCK, 1) + COPY.pack(0, 4000, 500)
-    with pytest.raises(SyncError):
-        diff_apply(old, bad_copy)  # copy range beyond the base
+    digest = hashlib.sha256(old).digest()
+
+    def frame(*ops, version=1, block=DEFAULT_BLOCK, count=None):
+        count = len(ops) if count is None else count
+        return HEADER.pack(b"ODLT", version, digest, block, count) + b"".join(ops)
+
+    copy = COPY.pack(0, 0, 10)
+    for bad, reason in (
+        (delta[:20], "missing header"),
+        (delta + b"junk", "trailing bytes"),
+        (b"NOPE" + delta[4:], "magic"),
+        (frame(COPY.pack(0, 4000, 500)), "out of base payload bounds"),
+        (frame(copy, version=2), "version 2"),
+        (frame(copy, block=63), "block size 63"),
+        (frame(bytes([7])), "op tag 7"),
+        (frame(INSERT_HEAD.pack(1, 10) + b"abc"), "insert payload"),
+        (frame(copy, count=2), "truncated: op at byte 59"),
+    ):
+        with pytest.raises(SyncError, match=reason):
+            diff_apply(old, bad)
+
+
+def test_every_truncation_of_a_real_delta_raises_sync_error():
+    # a cut inside an op's fixed-size head once escaped as struct.error
+    rng = random.Random(16)
+    old = rng.randbytes(8192)
+    new = old[:2000] + rng.randbytes(500) + old[2000:6000] + old[7000:]
+    delta = diff_encode(old, new)
+    kinds = {op[0] for op in parse_ops(delta)[2]}
+    assert kinds == {"copy", "insert"}
+    assert diff_apply(old, delta) == new
+    for cut in range(len(delta)):
+        with pytest.raises(SyncError):
+            diff_apply(old, delta[:cut])
 
 
 # ------------------------------------------------------------ encoder kernel
@@ -568,9 +594,9 @@ def test_demand_fetch_round_trip_applies_when_state_moves():
 
 
 def test_sync_params_validation():
-    with pytest.raises(ValueError):
-        SyncParams(args_share=1.5)
-    with pytest.raises(ValueError):
-        SyncParams(proxy_header=0)
-    with pytest.raises(ValueError):
-        SyncParams(change_fraction=-0.1)
+    for bad, reason in (({"args_share": 1.5}, "args_share"),
+                        ({"proxy_header": 0}, "proxy header"),
+                        ({"change_fraction": -0.1}, "change_fraction"),
+                        ({"rtt_us": -1}, "rtt_us")):
+        with pytest.raises(ValueError, match=reason):
+            SyncParams(**bad)

@@ -130,8 +130,8 @@ def test_oracle_step_sim_rejects_indivisible_costs():
 def test_energy_local_execution():
     task = mk_task("t0", r_mobile=10.0)
     decision = Decision(Platform.MOBILE, sec(10))
-    assert energy_of(task, decision, 0, 0, EnergyParams(p_cpu_mobile=1.2)) \
-        == pytest.approx(12.0)
+    assert energy_of(task, decision, 0, 0, EnergyParams(p_cpu_mobile=1.2),
+                     completion=sec(10)) == pytest.approx(12.0)
 
 
 def test_energy_offload_transfer_plus_idle():

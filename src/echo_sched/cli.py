@@ -163,6 +163,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}; "
                              f"expected one of {', '.join(POLICY_NAMES)}")
+        if names.count(name) > 1:
+            raise ValueError(f"policy {name!r} given more than once")
     if not names:
         raise ValueError("no policies given")
     trace = traceio.load(args.trace)

@@ -5,12 +5,14 @@ the cloud, and on the best edge VM (via a pure schedule trial), then picks
 the platform with the smallest estimate.  Ties prefer edge, then cloud:
 when times are equal the nearer or cheaper-for-the-operator option wins.
 
-Choosing the device or the cloud never touches the edge queues.  Choosing
-edge commits the trialed insertion and attaches a completion deadline: the
-task must finish no later than the best it could have done without the
-edge (device vs cloud, whichever is sooner).  That deadline, minus the
-result download leg, is what the queue enforces for the task from then on,
-so later arrivals can only preempt it if it still finishes in time.
+Pricing the edge advances each tried VM's clock, which changes no
+schedule; choosing the device or the cloud leaves every schedule as it
+was.  Choosing edge commits the trialed insertion and attaches a
+completion deadline: the task must finish no later than the best it could
+have done without the edge (device vs cloud, whichever is sooner).  That
+deadline, minus the result download leg, is what the queue enforces for
+the task from then on, so later arrivals can only preempt it if it still
+finishes in time.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .model import Decision, Platform, Task
 from .scheduler import TrialInsertion, VmQueue, best_vm, commit
 
 logger = logging.getLogger(__name__)
-
-# the one argmin tie order (fastest): prefer edge, then cloud, then the device
-_TIE_RANK = {Platform.EDGE: 0, Platform.CLOUD: 1, Platform.MOBILE: 2}
 
 
 def estimate(task: Task) -> tuple[int, int]:
@@ -74,12 +73,11 @@ def decide(task: Task, queues: list[VmQueue], ready: int, *,
 
 
 def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
-    """Argmin of the estimates in _TIE_RANK order; t_edge None means no edge."""
-    candidates = [(t_mobile, _TIE_RANK[Platform.MOBILE], Platform.MOBILE),
-                  (t_cloud, _TIE_RANK[Platform.CLOUD], Platform.CLOUD)]
-    if t_edge is not None:
-        candidates.append((t_edge, _TIE_RANK[Platform.EDGE], Platform.EDGE))
-    return min(candidates)[2]
+    """Argmin of the estimates, ties to edge, then cloud, then the device;
+    t_edge None means no edge."""
+    if t_edge is not None and t_edge <= t_cloud and t_edge <= t_mobile:
+        return Platform.EDGE
+    return Platform.CLOUD if t_cloud <= t_mobile else Platform.MOBILE
 
 
 def _distort(duration: int, key: str, seed: int, magnitude: float) -> int:

@@ -3,10 +3,11 @@
 A policy holds no settings: sim.run calls decide(task, queues, ready,
 config) at each arrival, with `ready` the earliest instant the task's
 work may start on a VM and `config` the run's SimConfig.  Only the two
-edge-aware policies ever mutate the queues, and only when they place the
-task on a VM.  Each policy also declares its transfer model, the class the
-simulator prices its offloads with: lazy plus delta transmission for echo,
-profiled bytes as-is for the four baselines.
+edge-aware policies read the queues, each advancing a queue's clock to
+the arrival before reading it, and they change a schedule only when they
+place the task on a VM.  Each policy also declares its transfer model,
+the class the simulator prices its offloads with: lazy plus delta
+transmission for echo, profiled bytes as-is for the four baselines.
 
     end-only      run everything on the device
     cloud-always  offload everything offloadable to the cloud
@@ -91,9 +92,15 @@ class BestEffortEdgePolicy:
         if chosen is Platform.CLOUD:
             return Decision(Platform.CLOUD, now + t_cloud)
         assert t_edge is not None
-        vm_index = min(range(len(queues)), key=lambda i: (queues[i].load(), i))
-        queues[vm_index].append_fifo(task, ready)
-        return Decision(Platform.EDGE, now + t_edge, vm_index=vm_index)
+        least = None
+        for queue in queues:  # lowest index among equal loads
+            queue.advance(now)
+            load = queue.load()
+            if least is None or load < least:
+                least, chosen_queue = load, queue
+        chosen_queue.append_fifo(task, ready)
+        return Decision(Platform.EDGE, now + t_edge,
+                        vm_index=chosen_queue.vm_index)
 
 
 class DeadlineAwareEdgePolicy:

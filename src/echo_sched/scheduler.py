@@ -131,26 +131,28 @@ class VmQueue:
         if to == self.now:
             return
         chunks = self._chunks
+        entries = self._entries
         cursor = self.now
-        consumed = 0
-        executed = 0
-        for i, (tid, w) in enumerate(chunks):
-            entry = self._entries[tid]
+        consumed = executed = 0
+        for tid, w in chunks:
+            entry = entries[tid]
             start = entry.ready if entry.ready > cursor else cursor
             if start >= to:
                 break
-            run = w if start + w <= to else to - start
             if entry.first_start is None:
                 entry.first_start = start
-            entry.executed += run
-            executed += run
-            cursor = start + run
-            if run == w:
-                consumed = i + 1
+            cursor = start + w
+            if cursor <= to:
+                entry.executed += w
+                executed += w
+                consumed += 1
                 if entry.executed == entry.total:
                     entry.completion = cursor
             else:
-                chunks[i] = (tid, w - run)
+                run = to - start
+                entry.executed += run
+                executed += run
+                chunks[consumed] = (tid, w - run)
                 break
         if consumed:
             del chunks[:consumed]
@@ -427,11 +429,24 @@ def _repair(original: list[tuple[str, int]],
 
 def best_vm(queues: list[VmQueue], task: Task, ready: int,
             deadline: int | None) -> TrialInsertion:
-    """Trial on every VM; pick minimum completion-time growth (ties: lowest index)."""
+    """Least completion-time growth over the VMs (ties: lowest index).
+
+    VMs advance to the arrival just before their trials and are tried in
+    index order until one reaches the least growth any trial can have: the
+    newcomer cannot end before ready + r_edge, nor a queued task earlier.
+    """
     if not queues:
         raise SchedulerError("no VMs configured")
-    return min((trial_insert(queue, task, ready, deadline) for queue in queues),
-               key=lambda trial: trial.delta_t)
+    least = ready + task.profile.r_edge - task.arrival
+    best: TrialInsertion | None = None
+    for queue in queues:
+        queue.advance(task.arrival)
+        trial = trial_insert(queue, task, ready, deadline)
+        if best is None or trial.delta_t < best.delta_t:
+            best = trial
+            if trial.delta_t <= least:
+                break
+    return best
 
 
 def commit(trial: TrialInsertion) -> None:

@@ -1,14 +1,15 @@
 """Trace-driven simulator, energy model, and reports.
 
 run() replays a trace through one policy.  Decisions happen only at
-arrivals: each arrival first advances every VM's clock to the arrival
-instant, then the policy places the task.  The transfer model prices an
-offloadable task once, before the decision (its upload leg sets when the
-task's work may start on a VM), and commits the price only if the task
-leaves the device.  Device and cloud tasks complete at their closed-form
-times; edge tasks complete when their scheduled work finishes plus the
-result download leg.  Everything is integer-microsecond arithmetic, so a
-run is deterministic and reports are byte-identical across repeats.
+arrivals: the policy places the task, advancing a VM's clock to the
+arrival only when it reads that VM's queue.  The transfer model prices
+an offloadable task once, before the decision (its upload leg sets when
+the task's work may start on a VM), and commits the price only if the
+task leaves the device.  Device and cloud tasks complete at their
+closed-form times; edge tasks complete when their scheduled work finishes
+plus the result download leg.  Everything is integer-microsecond
+arithmetic, so a run is deterministic and reports are byte-identical
+across repeats.
 """
 
 from __future__ import annotations
@@ -99,9 +100,6 @@ class TaskRecord:
     bytes_up: int
     bytes_down: int
     energy_j: float
-
-    def response_time(self) -> int:
-        return self.completion - self.arrival
 
 
 @dataclass
@@ -207,19 +205,16 @@ def energy_of(task: Task, decision: Decision, bytes_up: int, bytes_down: int,
         up_leg, down_leg = profile.up_edge, profile.down_edge
     else:
         up_leg, down_leg = profile.up_cloud, profile.down_cloud
-    transfer = (_scale_leg(up_leg, bytes_up, profile.upload_bytes)
-                + _scale_leg(down_leg, bytes_down, profile.download_bytes))
+    up, down = to_seconds(up_leg), to_seconds(down_leg)
+    if profile.upload_bytes > 0:
+        up *= bytes_up / profile.upload_bytes
+    if profile.download_bytes > 0:
+        down *= bytes_down / profile.download_bytes
+    transfer = up + down
     idle = to_seconds(completion - task.arrival) - transfer
     if idle < 0.0:
         idle = 0.0
     return params.p_net_mobile * transfer + params.p_idle * idle
-
-
-def _scale_leg(duration_us: int, actual_bytes: int, profiled_bytes: int) -> float:
-    seconds = to_seconds(duration_us)
-    if profiled_bytes > 0:
-        return seconds * (actual_bytes / profiled_bytes)
-    return seconds
 
 
 # --------------------------------------------------------------------------
@@ -231,21 +226,17 @@ _NO_TRANSFER = TransferCost(0, 0, 0, 0)
 def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     """Replay a trace through a policy; deterministic for fixed inputs."""
     tasks = trace.tasks if isinstance(trace, TraceFile) else trace
-    # Decisions are keyed by task id: a duplicate would silently overwrite
-    # the first task's outcome, so reject the trace as the CLI loader does.
+    # A duplicate id would collide in a VM queue's bookkeeping, so reject
+    # the trace as the CLI loader does.
     validate_trace(tasks)
     if isinstance(policy, str):
         policy = build_policy(policy)
     transfer = policy.transfer_model(config.sync)
 
     queues = [VmQueue(i) for i in range(config.num_vms)]
-    ordered = sorted(tasks, key=lambda t: t.arrival)
 
-    decisions: dict[str, Decision] = {}
-    costs: dict[str, TransferCost] = {}
-    for task in ordered:
-        for queue in queues:
-            queue.advance(task.arrival)
+    placed: list[tuple[Task, Decision, TransferCost]] = []
+    for task in sorted(tasks, key=lambda t: t.arrival):
         cost = transfer.preview(task) if task.offloadable else _NO_TRANSFER
         ready = task.arrival + config.provision_delay + cost.up_us
         decision = policy.decide(task, queues, ready, config)
@@ -253,16 +244,14 @@ def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
             cost = _NO_TRANSFER
         else:
             transfer.commit(task)
-        costs[task.id] = cost
-        decisions[task.id] = decision
+        placed.append((task, decision, cost))
 
     for queue in queues:
         queue.advance(queue.horizon())
 
-    records = [_realize(task, decisions[task.id], costs[task.id], queues,
-                        config)
-               for task in ordered]
-    backhaul = sum(cost.backhaul_bytes for cost in costs.values())
+    records = [_realize(task, decision, cost, queues, config)
+               for task, decision, cost in placed]
+    backhaul = sum(cost.backhaul_bytes for _, _, cost in placed)
     return SimReport(policy=policy.name,
                      config=_config_dict(policy.name, config, len(records)),
                      records=records,
@@ -317,10 +306,12 @@ def _aggregate(records: list[TaskRecord], backhaul: int) -> dict:
     bytes_up = bytes_down = 0
     energy = 0.0
     for r in records:
-        counts[r.platform.split(":")[0]] += 1
-        responses.append(r.response_time())
-        if r.platform.startswith("edge"):
+        if r.vm_index is None:
+            counts[r.platform] += 1
+        else:
+            counts["edge"] += 1
             waits.append(r.waiting)
+        responses.append(r.completion - r.arrival)
         if r.deadline is not None:
             deadline_tasks += 1
             deadline_met += bool(r.deadline_met)

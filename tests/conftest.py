@@ -170,10 +170,11 @@ class _SteppedVm:
 class StepOracle:
     """Policy wrapper that ticks every VM from one arrival to the next.
 
-    run() calls decide() once per arrival, after advancing its queues to
-    that instant.  The wrapper first ticks its own VMs up to the task's
-    arrival, then delegates; on an edge placement it resyncs the chosen
-    VM from the committed queue.
+    run() calls decide() once per arrival, and the policy advances a
+    queue's clock only when it reads that queue.  The wrapper first ticks
+    its own VMs up to the task's arrival, then delegates; on an edge
+    placement it resyncs the chosen VM from the committed queue, which
+    the policy advanced before placing the task.
     """
 
     def __init__(self, inner, num_vms: int, dt: int):

@@ -204,6 +204,19 @@ def test_compare_rejects_unknown_policy(tmp_path):
     assert "warp" in result.stderr
 
 
+def test_compare_rejects_a_repeated_policy(tmp_path):
+    # A repeat once ran the policy twice, overwrote its report and wrote
+    # two identical rows to the table.
+    trace = make_trace(tmp_path)
+    out = tmp_path / "c"
+    result = run_cli("compare", "--trace", trace, "--vms", 1,
+                     "--policies", "echo,echo,mcloud", "--out", out,
+                     cwd=tmp_path)
+    assert result.returncode == 2
+    assert "'echo'" in result.stderr
+    assert not (out / "comparison.csv").exists()
+
+
 def test_non_finite_numbers_are_usage_errors(tmp_path):
     # Unchecked, inf overflows the microsecond conversion (exit 1), a NaN
     # label writes invalid JSON, and an infinite rate puts every arrival at 0.

@@ -20,6 +20,13 @@ LateTrialError.  After every commit, every admitted task's ticked end is
 at or before its deadline and no queued task's end moved earlier; after
 every operation, the work a 1 µs tick oracle executed plus the queue's
 pending work equals the work admitted.
+
+(f) best_vm's early exit is exact: on random admission and best-effort
+sessions over 1-4 queues, it returns the trial a full trial_insert scan
+of the same advanced queues picks (least growth, lowest index).
+
+(g) Lazy clocks compose: on random sessions, advance(a) then advance(b)
+leaves a queue exactly as advance(b) alone does.
 """
 
 import pytest
@@ -27,7 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echo_sched.model import CostProfile, Task
-from echo_sched.scheduler import LateTrialError, VmQueue, commit, trial_insert
+from echo_sched.scheduler import (LateTrialError, VmQueue, best_vm, commit,
+                                  trial_insert)
 from echo_sched.sim import SimConfig, run
 from conftest import _SteppedVm, step_completions, step_oracle_run
 
@@ -191,3 +199,98 @@ def test_library_api_keeps_deadlines_and_conserves_work(session):
             assert executed + pending == sum(work_of[t] for t in o.totals)
             assert all(end <= deadlines[t] for t, end in o.done.items()
                        if t in deadlines)
+
+
+@st.composite
+def placement_sessions(draw):
+    """(VM count, ops): arrivals `gap` µs apart, each appended best-effort
+    to one VM or placed through best_vm.  Work, ready offsets and deadline
+    slacks are a few µs, so trials often tie or miss the least growth by
+    one µs, and negative slacks leave some placements late."""
+    n_vms = draw(st.integers(1, 4))
+    work, offset, gap = st.integers(1, 6), st.integers(0, 4), st.integers(0, 4)
+    op = st.one_of(
+        st.tuples(st.just("fifo"), gap, work, offset,
+                  st.integers(0, n_vms - 1)),
+        st.tuples(st.just("place"), gap, work, offset,
+                  st.one_of(st.none(), st.integers(-2, 12))))
+    return n_vms, draw(st.lists(op, min_size=1, max_size=30))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(session=placement_sessions())
+def test_best_vm_returns_what_a_full_scan_returns(session):
+    n_vms, ops = session
+    queues = [VmQueue(i) for i in range(n_vms)]
+    now = 0
+    for i, (kind, gap, work, offset, arg) in enumerate(ops):
+        now += gap
+        task = Task(id=f"t{i}", user_id="u", app="x", arrival=now,
+                    profile=CostProfile(0, work, 0, 0, 0, 0, 0))
+        ready = now + offset
+        if kind == "fifo":
+            queues[arg].advance(now)
+            queues[arg].append_fifo(task, ready)
+            continue
+        deadline = None if arg is None else ready + work + arg
+        for queue in queues:
+            queue.advance(now)
+        trials = [trial_insert(queue, task, ready, deadline)
+                  for queue in queues]
+        full = min(trials, key=lambda trial: trial.delta_t)
+        chosen = best_vm(queues, task, ready, deadline)
+        assert ((chosen.vm_index, chosen.delta_t, chosen.candidate_completion,
+                 chosen.candidate_chunks)
+                == (full.vm_index, full.delta_t, full.candidate_completion,
+                    full.candidate_chunks)), i
+        if deadline is None or chosen.candidate_completion <= deadline:
+            commit(chosen)
+
+
+@st.composite
+def clock_sessions(draw):
+    """Ops on one queue: best-effort appends, admissions with a deadline
+    or none, and advances by two offsets from the queue's clock."""
+    work, offset = st.integers(1, 20), st.integers(0, 10)
+    op = st.one_of(
+        st.tuples(st.just("fifo"), work, offset),
+        st.tuples(st.just("trial"), work, offset,
+                  st.one_of(st.none(), st.integers(0, 40))),
+        st.tuples(st.just("advance"), st.integers(0, 30), st.integers(0, 30)))
+    return draw(st.lists(op, min_size=1, max_size=40))
+
+
+def clock_state(queue, ids):
+    return (queue.now, queue.future_chunks, queue.load(), queue.horizon(),
+            [(queue.first_start_of(tid), queue.completion_of(tid),
+              queue.remaining_work(tid)) for tid in ids])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(ops=clock_sessions())
+def test_advance_in_two_steps_equals_one(ops):
+    stepped, direct = VmQueue(0), VmQueue(0)
+    ids: list[str] = []
+    for i, (kind, *args) in enumerate(ops):
+        now = direct.now
+        if kind == "advance":
+            a, b = sorted(args)
+            stepped.advance(now + a)
+            stepped.advance(now + b)
+            direct.advance(now + b)
+        else:
+            tid, work, ready = f"t{i}", args[0], now + args[1]
+            task = Task(id=tid, user_id="u", app="x", arrival=now,
+                        profile=CostProfile(0, work, 0, 0, 0, 0, 0))
+            for queue in (stepped, direct):
+                if kind == "fifo":
+                    queue.append_fifo(task, ready)
+                    continue
+                deadline = None if args[2] is None else ready + work + args[2]
+                trial = trial_insert(queue, task, ready, deadline)
+                if deadline is None or trial.candidate_completion <= deadline:
+                    commit(trial)
+            # a task just placed has all of its work pending
+            if any(t == tid for t, _ in direct.future_chunks):
+                ids.append(tid)
+        assert clock_state(stepped, ids) == clock_state(direct, ids), i

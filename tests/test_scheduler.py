@@ -276,6 +276,35 @@ def test_best_vm_prefers_idle_vm():
     assert trial.delta_t == sec(2)
 
 
+def test_best_vm_stops_at_the_first_trial_that_reaches_the_least_growth(
+        monkeypatch):
+    # The newcomer (work 3, ready 4) can grow completion by no less than 7.
+    tried: list[int] = []
+    real = scheduler.trial_insert
+
+    def counted(queue, *args):
+        tried.append(queue.vm_index)
+        return real(queue, *args)
+
+    monkeypatch.setattr(scheduler, "trial_insert", counted)
+
+    def pick(queues):
+        tried.clear()
+        return best_vm(queues, task_us("n", 3), 4, None)
+
+    def busy(vm_index):  # ends 1 us after the newcomer is ready
+        queue = VmQueue(vm_index)
+        queue.append_fifo(task_us(f"f{vm_index}", 2), 3)
+        return queue
+
+    trial = pick([VmQueue(i) for i in range(4)])
+    assert (trial.vm_index, trial.delta_t, tried) == (0, 7, [0])
+    trial = pick([busy(0), VmQueue(1), VmQueue(2)])
+    assert (trial.vm_index, trial.delta_t, tried) == (1, 7, [0, 1])
+    trial = pick([busy(0), busy(1)])
+    assert (trial.vm_index, trial.delta_t, tried) == (0, 8, [0, 1])
+
+
 def test_best_vm_requires_at_least_one_queue():
     with pytest.raises(SchedulerError):
         best_vm([], task_us("n", sec(1)), 0, None)

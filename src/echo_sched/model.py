@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 US_PER_SECOND = 1_000_000
 
@@ -129,8 +130,14 @@ class Platform(Enum):
     CLOUD = "cloud"
 
 
-@dataclass(frozen=True)
-class Decision:
+class _DecisionFields(NamedTuple):
+    platform: Platform
+    predicted_completion: int
+    vm_index: int | None = None
+    deadline: int | None = None
+
+
+class Decision(_DecisionFields):
     """Platform assignment with the completion time predicted at decision time.
 
     vm_index is set iff platform is EDGE.  deadline is the absolute
@@ -141,17 +148,17 @@ class Decision:
     device or cloud placements leave it None.
     """
 
-    platform: Platform
-    predicted_completion: int
-    vm_index: int | None = None
-    deadline: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.platform is Platform.EDGE:
-            if self.vm_index is None or self.vm_index < 0:
+    def __new__(cls, platform: Platform, predicted_completion: int,
+                vm_index: int | None = None, deadline: int | None = None):
+        if platform is Platform.EDGE:
+            if vm_index is None or vm_index < 0:
                 raise ValueError("edge decision requires a vm_index")
-        elif self.vm_index is not None:
-            raise ValueError(f"vm_index only applies to edge decisions, got {self.platform}")
+        elif vm_index is not None:
+            raise ValueError(f"vm_index only applies to edge decisions, got {platform}")
+        return tuple.__new__(cls, (platform, predicted_completion, vm_index,
+                                   deadline))
 
     def platform_label(self) -> str:
         if self.platform is Platform.EDGE:

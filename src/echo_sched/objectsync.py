@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import check_int, check_real
 
@@ -144,10 +145,6 @@ class ObjectRecord:
         if self.version < 1:
             raise ValueError(f"object version must be >= 1, got {self.version}")
 
-    @property
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.payload).digest()
-
 
 @dataclass(frozen=True)
 class TaskObjectSet:
@@ -219,8 +216,7 @@ class SyncParams:
             raise ValueError("rtt_us must be >= 0")
 
 
-@dataclass(frozen=True)
-class TransferCost:
+class TransferCost(NamedTuple):
     up_bytes: int
     down_bytes: int
     up_us: int           # edge upload leg, demand-fetch round trip included

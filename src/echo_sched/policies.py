@@ -3,11 +3,13 @@
 A policy holds no settings: sim.run calls decide(task, queues, ready,
 config) at each arrival, with `ready` the earliest instant the task's
 work may start on a VM and `config` the run's SimConfig.  Only the two
-edge-aware policies read the queues, each advancing a queue's clock to
-the arrival before reading it, and they change a schedule only when they
-place the task on a VM.  Each policy also declares its transfer model,
-the class the simulator prices its offloads with: lazy plus delta
-transmission for echo, profiled bytes as-is for the four baselines.
+edge-aware policies read the queues, and they change a schedule only when
+they place the task on a VM.  echo advances each VM it tries to the
+arrival before its trial; mcloud reads each VM's load off its queue tail
+and advances only the VM it picks.  Each policy also declares its
+transfer model, the class the simulator prices its offloads with: lazy
+plus delta transmission for echo, profiled bytes as-is for the four
+baselines.
 
     end-only      run everything on the device
     cloud-always  offload everything offloadable to the cloud
@@ -69,7 +71,9 @@ class BestEffortEdgePolicy:
 
     The edge estimate assumes a free VM (transfer legs plus execution
     only), so under load the policy keeps piling tasks onto the least
-    loaded VM's FIFO tail.  Placements carry no deadline and are never
+    loaded VM's FIFO tail.  Loads are read at the arrival from each
+    queue's tail (VmQueue.load), and only the chosen VM is advanced, just
+    before the append.  Placements carry no deadline and are never
     revisited; actual completions can run far past the estimate.
     """
 
@@ -94,10 +98,10 @@ class BestEffortEdgePolicy:
         assert t_edge is not None
         least = None
         for queue in queues:  # lowest index among equal loads
-            queue.advance(now)
-            load = queue.load()
+            load = queue.load(now)
             if least is None or load < least:
                 least, chosen_queue = load, queue
+        chosen_queue.advance(now)
         chosen_queue.append_fifo(task, ready)
         return Decision(Platform.EDGE, now + t_edge,
                         vm_index=chosen_queue.vm_index)

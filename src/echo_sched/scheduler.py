@@ -43,7 +43,7 @@ class LateTrialError(SchedulerError):
     """The trial's newcomer would end past its own deadline."""
 
 
-class _TaskEntry:
+class TaskEntry:
     """Mutable bookkeeping for one task admitted to a VM queue."""
 
     __slots__ = ("ready", "deadline", "total", "executed", "first_start",
@@ -63,27 +63,34 @@ class VmQueue:
 
     `_chunks` holds only future work as (task_id, work) pairs in queue
     order; advance() drops the elapsed part of a preempted or running task,
-    which can never be displaced.  Two running totals spare load() and
+    which can never be displaced.  Running values spare load() and
     horizon() a walk over the queue: `_pending` is the chunks' total work,
-    and `_tail` the packed end of the last chunk.  advance() keeps `_tail`
-    valid because it executes the packing rule itself (on an emptied queue
-    it is at most `now`), append_fifo() extends it in O(1), and commit()
-    takes it from the trial, which has priced the new schedule anyway.
-    The same tail prices trial_insert()'s tail append, so a trial that
-    preempts nobody packs nothing.
+    `_tail` the packed end of the last chunk, and `_gap_end` an instant by
+    which every idle gap of the packed schedule has ended (gaps only open
+    ahead of an unready chunk, so they end at ready times).  advance()
+    keeps `_tail` valid because it executes the packing rule itself (on an
+    emptied queue it is at most `now`), append_fifo() extends it in O(1),
+    and commit() takes it from the trial, which has priced the new
+    schedule anyway.  append_fifo() opens a gap only when its task is
+    ready after the horizon, and then moves `_gap_end` to that ready time;
+    commit() moves it to the new tail, a safe bound.  Past `_gap_end` the
+    VM is busy without a break up to `_tail`, so load() reads the pending
+    work off the tail without advancing.  The same tail prices
+    trial_insert()'s tail append, so a trial that preempts nobody packs
+    nothing.
     """
 
     __slots__ = ("vm_index", "now", "version", "_chunks", "_entries",
-                 "_pending", "_tail")
+                 "_pending", "_tail", "_gap_end")
 
     def __init__(self, vm_index: int, now: int = 0):
         self.vm_index = vm_index
         self.now = now
         self.version = 0
         self._chunks: list[tuple[str, int]] = []
-        self._entries: dict[str, _TaskEntry] = {}
+        self._entries: dict[str, TaskEntry] = {}
         self._pending = 0
-        self._tail = now
+        self._tail = self._gap_end = now
 
     # ------------------------------------------------------------- queries
 
@@ -96,26 +103,24 @@ class VmQueue:
             raise SchedulerError(f"unknown task {task_id!r} on vm {self.vm_index}") from None
         return entry.total - entry.executed
 
-    def load(self) -> int:
-        """Total pending work (used by best-effort least-loaded placement)."""
-        return self._pending
+    def load(self, at: int) -> int:
+        """Pending work once the schedule has run to `at` (at >= now).
+
+        Used by best-effort least-loaded placement.  Advances the queue to
+        `at` only when an idle gap may still lie ahead of it.
+        """
+        if at < self._gap_end or at < self.now:
+            self.advance(at)
+            return self._pending
+        return self._tail - at if self._tail > at else 0
 
     @property
     def future_chunks(self) -> tuple[tuple[str, int], ...]:
         return tuple(self._chunks)
 
-    def ready_of(self, task_id: str) -> int:
-        return self._entries[task_id].ready
-
-    def deadline_of(self, task_id: str) -> int | None:
-        return self._entries[task_id].deadline
-
-    def first_start_of(self, task_id: str) -> int | None:
-        return self._entries[task_id].first_start
-
-    def completion_of(self, task_id: str) -> int | None:
-        """Execution end time, known once the task has fully run."""
-        return self._entries[task_id].completion
+    def entry(self, task_id: str) -> TaskEntry:
+        """A placed task's bookkeeping; callers only read it."""
+        return self._entries[task_id]
 
     def horizon(self) -> int:
         """Time by which all currently queued work will have executed."""
@@ -170,16 +175,18 @@ class VmQueue:
             raise SchedulerError(f"task {task.id!r} already on vm {self.vm_index}")
         work = task.profile.r_edge
         horizon = self.horizon()
-        self._entries[task.id] = _TaskEntry(ready, None, work)
+        self._entries[task.id] = TaskEntry(ready, None, work)
         self._chunks.append((task.id, work))
         self._pending += work
-        self._tail = (ready if ready > horizon else horizon) + work
+        if ready > horizon:
+            self._gap_end = horizon = ready
+        self._tail = horizon + work
         self.version += 1
         return self._tail
 
 
 def _pack(chunks: list[tuple[str, int]],
-          entries: dict[str, _TaskEntry],
+          entries: dict[str, TaskEntry],
           now: int,
           new_id: str | None = None,
           new_ready: int = 0
@@ -313,7 +320,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
 
 
 def _repair(original: list[tuple[str, int]],
-            entries: dict[str, _TaskEntry],
+            entries: dict[str, TaskEntry],
             now: int,
             new_id: str,
             new_ready: int,
@@ -466,10 +473,10 @@ def commit(trial: TrialInsertion) -> None:
             f"{trial.task_id!r} would end at {trial.candidate_completion}, "
             f"past its deadline {trial.deadline} on vm {queue.vm_index}")
     queue._chunks = list(trial.candidate_chunks)
-    queue._entries[trial.task_id] = _TaskEntry(trial.ready, trial.deadline,
-                                               trial.work)
+    queue._entries[trial.task_id] = TaskEntry(trial.ready, trial.deadline,
+                                              trial.work)
     queue._pending += trial.work
-    queue._tail = trial.tail
+    queue._tail = queue._gap_end = trial.tail
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
                  queue.vm_index, trial.task_id, trial.candidate_completion,

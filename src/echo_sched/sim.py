@@ -19,10 +19,11 @@ import dataclasses
 import json
 import statistics
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
-from .model import (Decision, Platform, Task, check_int, check_real,
-                    to_seconds, validate_trace)
+from .model import (US_PER_SECOND, Decision, Platform, Task, check_int,
+                    check_real, to_seconds, validate_trace)
 from .objectsync import SyncParams, TransferCost
 from .policies import build_policy
 from .scheduler import VmQueue
@@ -200,18 +201,18 @@ def energy_of(task: Task, decision: Decision, bytes_up: int, bytes_down: int,
     """
     profile = task.profile
     if decision.platform is Platform.MOBILE:
-        return params.p_cpu_mobile * to_seconds(profile.r_mobile)
+        return params.p_cpu_mobile * (profile.r_mobile / US_PER_SECOND)
     if decision.platform is Platform.EDGE:
         up_leg, down_leg = profile.up_edge, profile.down_edge
     else:
         up_leg, down_leg = profile.up_cloud, profile.down_cloud
-    up, down = to_seconds(up_leg), to_seconds(down_leg)
+    up, down = up_leg / US_PER_SECOND, down_leg / US_PER_SECOND
     if profile.upload_bytes > 0:
         up *= bytes_up / profile.upload_bytes
     if profile.download_bytes > 0:
         down *= bytes_down / profile.download_bytes
     transfer = up + down
-    idle = to_seconds(completion - task.arrival) - transfer
+    idle = (completion - task.arrival) / US_PER_SECOND - transfer
     if idle < 0.0:
         idle = 0.0
     return params.p_net_mobile * transfer + params.p_idle * idle
@@ -236,7 +237,7 @@ def run(trace: TraceFile | list[Task], policy, config: SimConfig) -> SimReport:
     queues = [VmQueue(i) for i in range(config.num_vms)]
 
     placed: list[tuple[Task, Decision, TransferCost]] = []
-    for task in sorted(tasks, key=lambda t: t.arrival):
+    for task in sorted(tasks, key=attrgetter("arrival")):
         cost = transfer.preview(task) if task.offloadable else _NO_TRANSFER
         ready = task.arrival + config.provision_delay + cost.up_us
         decision = policy.decide(task, queues, ready, config)
@@ -274,10 +275,10 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
         waiting = 0
     else:
         assert vm_index is not None
-        queue = queues[vm_index]
-        ready = queue.ready_of(task.id)
-        start = queue.first_start_of(task.id)
-        exec_end = queue.completion_of(task.id)
+        entry = queues[vm_index].entry(task.id)
+        ready = entry.ready
+        start = entry.first_start
+        exec_end = entry.completion
         if start is None or exec_end is None:
             # run() drains every queue to its horizon before realizing.
             raise SimError(f"edge task {task.id!r} never finished executing")
@@ -287,14 +288,11 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
     met = (completion <= deadline) if deadline is not None else None
     energy = energy_of(task, decision, cost.up_bytes, cost.down_bytes,
                        config.energy, completion=completion)
+    # positional, in field order
     return TaskRecord(
-        task_id=task.id, user_id=task.user_id, app=task.app, arrival=arrival,
-        platform=decision.platform_label(), vm_index=vm_index,
-        predicted_completion=decision.predicted_completion,
-        ready=ready, start=start, completion=completion, waiting=waiting,
-        deadline=deadline, deadline_met=met,
-        bytes_up=cost.up_bytes, bytes_down=cost.down_bytes, energy_j=energy,
-    )
+        task.id, task.user_id, task.app, arrival, decision.platform_label(),
+        vm_index, decision.predicted_completion, ready, start, completion,
+        waiting, deadline, met, cost.up_bytes, cost.down_bytes, energy)
 
 
 def _aggregate(records: list[TaskRecord], backhaul: int) -> dict:
@@ -335,9 +333,13 @@ def _aggregate(records: list[TaskRecord], backhaul: int) -> dict:
     }
     if responses:
         ordered = sorted(responses)
-        rank = -(-95 * len(ordered) // 100)  # ceil(0.95 n)
+        n = len(ordered)
+        mid = n // 2
+        # statistics.median's arithmetic, on the list already sorted
+        median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        rank = -(-95 * n // 100)  # ceil(0.95 n)
         aggregates["mean_completion_s"] = statistics.fmean(responses) / 1e6
-        aggregates["median_completion_s"] = float(statistics.median(responses)) / 1e6
+        aggregates["median_completion_s"] = float(median) / 1e6
         aggregates["p95_completion_s"] = to_seconds(ordered[rank - 1])
     if waits:
         aggregates["mean_waiting_s"] = statistics.fmean(waits) / 1e6

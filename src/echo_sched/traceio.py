@@ -20,6 +20,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 from .model import (CostProfile, Task, TraceError, check_int, check_real,
@@ -212,10 +213,13 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
         if name not in apps:
             raise ValueError(f"mix references unknown app {name!r}")
 
+    # Cumulative weights once per class: choices() draws with them exactly
+    # what it draws with the plain weights, which it would sum per call.
     interactive_names = sorted(mix.interactive_weights)
-    interactive_w = [mix.interactive_weights[a] for a in interactive_names]
+    interactive_cw = list(accumulate(
+        mix.interactive_weights[a] for a in interactive_names))
     compute_names = sorted(mix.compute_weights)
-    compute_w = [mix.compute_weights[a] for a in compute_names]
+    compute_cw = list(accumulate(mix.compute_weights[a] for a in compute_names))
 
     rng = random.Random(seed)
     tasks: list[Task] = []
@@ -223,9 +227,9 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
     for i in range(n):
         arrival += from_seconds(rng.expovariate(lam))
         if rng.random() < mix.interactive_fraction:
-            app = rng.choices(interactive_names, weights=interactive_w)[0]
+            app = rng.choices(interactive_names, cum_weights=interactive_cw)[0]
         else:
-            app = rng.choices(compute_names, weights=compute_w)[0]
+            app = rng.choices(compute_names, cum_weights=compute_cw)[0]
         tasks.append(Task(
             id=f"t{i:05d}",
             user_id=f"u{rng.randrange(_USER_POOL):02d}",
@@ -252,26 +256,25 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
 
 def _draw_profile(rng: random.Random, app: _AppArchetype,
                   links: _LinkParams) -> CostProfile:
-    def jitter(center: float) -> float:
-        return center * rng.uniform(1.0 - _PROFILE_JITTER, 1.0 + _PROFILE_JITTER)
-
-    r_mobile = from_seconds(jitter(app.r_mobile_s))
-    r_edge = from_seconds(jitter(app.r_edge_s))
-    r_cloud = round(r_edge * rng.uniform(*_REMOTE_SPEED_RANGE))
-    up_kb = jitter(app.upload_kb)
-    down_kb = jitter(app.download_kb)
-
-    def leg(kb: float, rate: float, latency_ms: float) -> int:
-        return from_seconds(latency_ms / 1000.0 + kb / rate)
-
+    """Jitter each archetype quantity by +/- _PROFILE_JITTER; a transfer
+    leg is its link's latency plus the jittered size over its rate."""
+    uniform = rng.uniform
+    lo, hi = 1.0 - _PROFILE_JITTER, 1.0 + _PROFILE_JITTER
+    r_mobile = from_seconds(app.r_mobile_s * uniform(lo, hi))
+    r_edge = from_seconds(app.r_edge_s * uniform(lo, hi))
+    r_cloud = round(r_edge * uniform(*_REMOTE_SPEED_RANGE))
+    up_kb = app.upload_kb * uniform(lo, hi)
+    down_kb = app.download_kb * uniform(lo, hi)
+    edge_s = links.edge_latency_ms / 1000.0
+    cloud_s = links.cloud_latency_ms / 1000.0
     return CostProfile(
         r_mobile=r_mobile,
         r_edge=r_edge,
         r_cloud=r_cloud,
-        up_edge=leg(up_kb, links.edge_rate_kb_per_s, links.edge_latency_ms),
-        down_edge=leg(down_kb, links.edge_rate_kb_per_s, links.edge_latency_ms),
-        up_cloud=leg(up_kb, links.cloud_rate_kb_per_s, links.cloud_latency_ms),
-        down_cloud=leg(down_kb, links.cloud_rate_kb_per_s, links.cloud_latency_ms),
+        up_edge=from_seconds(edge_s + up_kb / links.edge_rate_kb_per_s),
+        down_edge=from_seconds(edge_s + down_kb / links.edge_rate_kb_per_s),
+        up_cloud=from_seconds(cloud_s + up_kb / links.cloud_rate_kb_per_s),
+        down_cloud=from_seconds(cloud_s + down_kb / links.cloud_rate_kb_per_s),
         upload_bytes=round(up_kb * 1024),
         download_bytes=round(down_kb * 1024),
     )

@@ -132,7 +132,7 @@ class _SteppedVm:
         self.items = [[tid, w] for tid, w in queue.future_chunks]
         for tid, _ in self.items:
             if tid not in self.ready:
-                self.ready[tid] = queue.ready_of(tid)
+                self.ready[tid] = queue.entry(tid).ready
                 self.totals[tid] = queue.remaining_work(tid)
             if self.ready[tid] % self.dt:
                 raise ValueError(

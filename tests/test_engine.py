@@ -35,8 +35,8 @@ def test_decide_edge_commits_and_sets_deadline():
     # committed: work queued, input arrives after the upload leg,
     # queue-level deadline excludes the download leg
     assert queues[0].future_chunks == (("t0", sec(4)),)
-    assert queues[0].ready_of("t0") == sec(1)
-    assert queues[0].deadline_of("t0") == sec(5.5)
+    assert queues[0].entry("t0").ready == sec(1)
+    assert queues[0].entry("t0").deadline == sec(5.5)
 
 
 def test_decide_tie_prefers_edge():
@@ -118,7 +118,7 @@ def test_upload_override_shifts_ready_time():
     decision = decide(task, queues, edge_ready(task, upload=sec(0.25)))
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(4.25)
-    assert queues[0].ready_of("t0") == sec(0.25)
+    assert queues[0].entry("t0").ready == sec(0.25)
 
 
 def test_decisions_are_deterministic():
@@ -204,7 +204,7 @@ def test_edge_admissions_always_meet_their_deadline():
     for q in queues:
         q.advance(horizon)
     for task, decision in placed:
-        exec_end = queues[decision.vm_index].completion_of(task.id)
+        exec_end = queues[decision.vm_index].entry(task.id).completion
         assert exec_end is not None
         # later preemptions may push the task back, but never past the bound
         completion = exec_end + task.profile.down_edge

@@ -16,6 +16,7 @@ from echo_sched.model import (
     to_seconds,
     validate_trace,
 )
+from echo_sched.objectsync import TransferCost
 from conftest import mk_profile, mk_task, sec
 
 
@@ -153,6 +154,28 @@ def test_decision_vm_index_only_for_edge():
     with pytest.raises(ValueError, match="vm_index"):
         Decision(platform=Platform.MOBILE, predicted_completion=sec(1.0),
                  vm_index=0)
+
+
+def test_decision_and_transfer_cost_refuse_assignment():
+    # Both are named tuples; Decision still checks vm_index on every
+    # construction, positional or by keyword.
+    for platform, vm_index, message in (
+            (Platform.EDGE, None, "edge decision requires a vm_index"),
+            (Platform.EDGE, -1, "edge decision requires a vm_index"),
+            (Platform.CLOUD, 0, "vm_index only applies to edge decisions")):
+        with pytest.raises(ValueError, match=message):
+            Decision(platform, sec(1.0), vm_index)
+    decision = Decision(Platform.EDGE, sec(1.0), 0, sec(2.0))
+    cost = TransferCost(10, 20, sec(0.5), 0)
+    for value, field in ((decision, "vm_index"), (decision, "deadline"),
+                         (cost, "up_bytes"), (cost, "backhaul_bytes")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", 1)
+    assert decision == Decision(Platform.EDGE, sec(1.0), vm_index=0,
+                                deadline=sec(2.0))
+    assert cost == TransferCost(10, 20, sec(0.5), 0)
 
 
 def test_decision_platform_labels():

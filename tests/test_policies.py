@@ -88,8 +88,8 @@ def test_mcloud_uses_queue_blind_estimate():
     assert decision.predicted_completion == sec(5)
     assert decision.deadline is None
     assert queues[0].future_chunks == (("t0", sec(3)),)
-    assert queues[0].ready_of("t0") == sec(1)
-    assert queues[0].deadline_of("t0") is None
+    assert queues[0].entry("t0").ready == sec(1)
+    assert queues[0].entry("t0").deadline is None
 
 
 def test_mcloud_picks_least_loaded_vm():
@@ -119,7 +119,7 @@ def test_mcloud_ignores_contention_and_overshoots():
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5)
     queues[0].advance(sec(200))
-    completion = queues[0].completion_of("b") + quick.profile.down_edge
+    completion = queues[0].entry("b").completion + quick.profile.down_edge
     assert completion == sec(104)
     # the deadline-aware engine would have sent this task to the cloud
     # (6s) rather than promise what the queue cannot deliver
@@ -153,7 +153,7 @@ def test_echo_policy_wraps_the_decision_engine():
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5.5)
     assert decision.deadline == sec(6)
-    assert queues[0].deadline_of("t0") == sec(5.5)
+    assert queues[0].entry("t0").deadline == sec(5.5)
 
 
 def test_echo_keeps_the_no_edge_bound():
@@ -166,7 +166,7 @@ def test_echo_keeps_the_no_edge_bound():
                      r_cloud=40.0, down_cloud=40.0)
     assert (policy.decide(filler, queues, edge_ready(filler),
                           DEFAULTS).platform is Platform.EDGE)
-    assert queues[0].deadline_of("f") == sec(100)
+    assert queues[0].entry("f").deadline == sec(100)
     task = mk_task("b", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=3.0, down_edge=1.0)
     decision = policy.decide(task, queues, edge_ready(task), DEFAULTS)
@@ -203,4 +203,4 @@ def test_provision_delay_shifts_edge_readiness():
                    down_cloud=1.0, up_edge=1.0, r_edge=3.0)
     policy = build_policy("mcloud")
     policy.decide(task, queues, edge_ready(task, delay=sec(0.5)), DEFAULTS)
-    assert queues[0].ready_of("t0") == sec(1.5)
+    assert queues[0].entry("t0").ready == sec(1.5)

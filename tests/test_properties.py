@@ -27,7 +27,13 @@ of the same advanced queues picks (least growth, lowest index).
 
 (g) Lazy clocks compose: on random sessions, advance(a) then advance(b)
 leaves a queue exactly as advance(b) alone does.
+
+(h) load(at) reads the schedule right: on random sessions of best-effort
+appends ready after the horizon, trials with commits and advances, it
+equals the pending work of a copy advanced to `at`.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -193,7 +199,7 @@ def test_library_api_keeps_deadlines_and_conserves_work(session):
                 assert all(end <= deadlines[t] for t, end in after.items()
                            if t in deadlines), tid
         for q, o in zip(queues, oracles):
-            pending = q.load()
+            pending = q.load(q.now)
             assert pending == sum(w for _, w in q.future_chunks)
             executed = sum(work_of[t] - left for t, left in o.totals.items())
             assert executed + pending == sum(work_of[t] for t in o.totals)
@@ -261,8 +267,8 @@ def clock_sessions(draw):
 
 
 def clock_state(queue, ids):
-    return (queue.now, queue.future_chunks, queue.load(), queue.horizon(),
-            [(queue.first_start_of(tid), queue.completion_of(tid),
+    return (queue.now, queue.future_chunks, queue.load(queue.now), queue.horizon(),
+            [(queue.entry(tid).first_start, queue.entry(tid).completion,
               queue.remaining_work(tid)) for tid in ids])
 
 
@@ -294,3 +300,45 @@ def test_advance_in_two_steps_equals_one(ops):
             if any(t == tid for t, _ in direct.future_chunks):
                 ids.append(tid)
         assert clock_state(stepped, ids) == clock_state(direct, ids), i
+
+
+@st.composite
+def load_sessions(draw):
+    """Ops on one queue: best-effort appends whose ready offsets often
+    pass the horizon, admissions with a deadline or none, advances, and
+    load reads at offsets from the queue's clock."""
+    work, offset = st.integers(1, 20), st.integers(0, 60)
+    op = st.one_of(
+        st.tuples(st.just("fifo"), work, offset),
+        st.tuples(st.just("trial"), work, offset,
+                  st.one_of(st.none(), st.integers(0, 40))),
+        st.tuples(st.just("advance"), st.integers(0, 30)),
+        st.tuples(st.just("load"), st.integers(0, 80)))
+    return draw(st.lists(op, min_size=1, max_size=40))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(ops=load_sessions())
+def test_load_equals_the_pending_work_of_an_advanced_copy(ops):
+    queue = VmQueue(0)
+    for i, (kind, *args) in enumerate(ops):
+        now = queue.now
+        if kind == "advance":
+            queue.advance(now + args[0])
+        elif kind == "load":
+            at = now + args[0]
+            advanced = copy.deepcopy(queue)
+            advanced.advance(at)
+            expected = sum(w for _, w in advanced.future_chunks)
+            assert queue.load(at) == expected, i
+        else:
+            work, ready = args[0], now + args[1]
+            task = Task(id=f"t{i}", user_id="u", app="x", arrival=now,
+                        profile=CostProfile(0, work, 0, 0, 0, 0, 0))
+            if kind == "fifo":
+                queue.append_fifo(task, ready)
+                continue
+            deadline = None if args[2] is None else ready + work + args[2]
+            trial = trial_insert(queue, task, ready, deadline)
+            if deadline is None or trial.candidate_completion <= deadline:
+                commit(trial)

@@ -39,20 +39,20 @@ def admit(queue: VmQueue, tid: str, work: int, ready: int,
 
 
 def oracle_ends(queue: VmQueue, dt: int = 1000) -> dict[str, int]:
-    ready = {tid: queue.ready_of(tid) for tid, _ in queue.future_chunks}
+    ready = {tid: queue.entry(tid).ready for tid, _ in queue.future_chunks}
     return step_completions(queue.future_chunks, ready, queue.now, dt)
 
 
 def trial_ends(queue: VmQueue, trial, dt: int = 1000) -> dict[str, int]:
     """Ticked ends of the trial's candidate schedule on its source queue."""
-    ready = {tid: queue.ready_of(tid) for tid, _ in queue.future_chunks}
+    ready = {tid: queue.entry(tid).ready for tid, _ in queue.future_chunks}
     ready[trial.task_id] = trial.ready
     return step_completions(trial.candidate_chunks, ready, queue.now, dt)
 
 
 def assert_totals(queue: VmQueue, dt: int = 1000) -> None:
     """The running load() and horizon() equal a recount from the chunks."""
-    assert queue.load() == sum(w for _, w in queue.future_chunks)
+    assert queue.load(queue.now) == sum(w for _, w in queue.future_chunks)
     ends = oracle_ends(queue, dt)
     assert queue.horizon() == max(ends.values(), default=queue.now)
 
@@ -82,7 +82,7 @@ def test_remaining_work_sums_future_segments():
     assert q.remaining_work("a") == sec(3)
     future = sum(w for tid, w in q.future_chunks if tid == "a")
     assert future == sec(3)
-    assert q.load() == sec(3)
+    assert q.load(q.now) == sec(3)
 
 
 # ---------------------------------------------------------------- trials
@@ -319,8 +319,8 @@ def test_commit_applies_trial_exactly():
     trial = trial_insert(q, task_us("b", sec(2)), 0, None)
     commit(trial)
     assert q.future_chunks == trial.candidate_chunks
-    assert q.deadline_of("b") is None
-    assert q.ready_of("b") == 0
+    assert q.entry("b").deadline is None
+    assert q.entry("b").ready == 0
 
 
 def test_commit_rejects_stale_trial():
@@ -363,11 +363,11 @@ def test_advance_runs_and_completes_work():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, None)
     q.advance(sec(2))
-    assert q.completion_of("a") is None
-    assert q.first_start_of("a") == 0
+    assert q.entry("a").completion is None
+    assert q.entry("a").first_start == 0
     q.advance(sec(12))
-    assert q.completion_of("a") == sec(10)
-    assert q.load() == 0
+    assert q.entry("a").completion == sec(10)
+    assert q.load(q.now) == 0
 
 
 def test_advance_waits_for_ready_gate():
@@ -375,10 +375,10 @@ def test_advance_waits_for_ready_gate():
     admit(q, "a", sec(2), sec(2), None)
     q.advance(sec(3))
     assert q.remaining_work("a") == sec(1)  # idle until 2s, ran 1s
-    assert q.first_start_of("a") == sec(2)
-    assert q.completion_of("a") is None
+    assert q.entry("a").first_start == sec(2)
+    assert q.entry("a").completion is None
     q.advance(sec(5))
-    assert q.completion_of("a") == sec(4)
+    assert q.entry("a").completion == sec(4)
 
 
 def test_advance_rejects_going_backwards():
@@ -393,8 +393,8 @@ def test_advance_same_instant_is_a_no_op():
     admit(q, "a", sec(1), 0, None)
     version = q.version
     q.advance(q.now)
-    assert q.first_start_of("a") is None
-    assert q.completion_of("a") is None
+    assert q.entry("a").first_start is None
+    assert q.entry("a").completion is None
     assert q.version == version
 
 
@@ -452,7 +452,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
             for tid in new:
                 if tid == task.id:
                     continue
-                limit = q.deadline_of(tid)
+                limit = q.entry(tid).deadline
                 if limit is not None:
                     assert new[tid] <= limit, f"{tid} late in candidate"
             assert trial.repair_iterations <= len(set(
@@ -478,10 +478,10 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
     horizon = max(q.horizon() for q in queues)
     for q in queues:
         q.advance(horizon)
-        assert q.load() == 0
+        assert q.load(q.now) == 0
         assert_totals(q, unit)
     for tid, (vm, limit) in deadlines.items():
-        done = queues[vm].completion_of(tid)
+        done = queues[vm].entry(tid).completion
         assert done is not None
         assert done <= limit, f"{tid} missed deadline (seed {seed})"
     return admitted
@@ -529,7 +529,7 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
         ready = now + rng.randrange(0, 400) * 1000
         task = task_us(f"t{i}", work, arrival=now)
         if rng.random() < 0.5:
-            q = min(queues, key=lambda v: (v.load(), v.vm_index))
+            q = min(queues, key=lambda v: (v.load(v.now), v.vm_index))
             end = q.append_fifo(task, ready)
             assert end == oracle_ends(q)[task.id], f"seed {seed}"
             assert_totals(q)
@@ -546,7 +546,7 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
     horizon = max(q.horizon() for q in queues)
     for q in queues:
         q.advance(horizon)
-        assert q.load() == 0
+        assert q.load(q.now) == 0
         assert_totals(q)
     return appended
 
@@ -589,7 +589,11 @@ def test_fifo_appends_never_repack(monkeypatch):
             q.advance(sec(250))
             q._chunks = _Unwalkable(q._chunks)
     assert q.horizon() == sec(1000)
-    assert q.load() == sec(750)
+    assert q.load(q.now) == sec(750)
+    # No append left an idle gap, so a later load reads the tail and
+    # leaves the clock where it was.
+    assert q.load(sec(600)) == sec(400)
+    assert q.now == sec(250)
     assert calls[0] == 0
 
     # A commit may reorder the queue, but it takes the new tail from the

@@ -55,7 +55,10 @@ def decide(task: Task, queues: list[VmQueue], ready: int, *,
     horizon = now + min(t_mobile, t_cloud)
     t_edge: int | None = None
     trial: TrialInsertion | None = None
-    if queues:
+    # No trial can end before ready + r_edge, so past this bound t_edge
+    # would exceed min(t_mobile, t_cloud) and fastest() would not pick
+    # the edge: skip the trials, which would only have advanced clocks.
+    if queues and ready + p.r_edge + p.down_edge <= horizon:
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
         t_edge = (trial.candidate_completion - now) + p.down_edge
 

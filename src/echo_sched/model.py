@@ -82,10 +82,14 @@ class CostProfile:
     def __post_init__(self) -> None:
         # Fast path for the common case; anything else (bool, int
         # subclasses, bad values) takes the per-field checks below.
-        values = (self.r_mobile, self.r_edge, self.r_cloud, self.up_edge,
-                  self.down_edge, self.up_cloud, self.down_cloud,
-                  self.upload_bytes, self.download_bytes)
-        if set(map(type, values)) == {int} and min(values) >= 0 and self.r_edge:
+        if (type(self.r_mobile) is type(self.r_edge) is type(self.r_cloud)
+                is type(self.up_edge) is type(self.down_edge)
+                is type(self.up_cloud) is type(self.down_cloud)
+                is type(self.upload_bytes) is type(self.download_bytes) is int
+                and min(self.r_mobile, self.r_edge, self.r_cloud, self.up_edge,
+                        self.down_edge, self.up_cloud, self.down_cloud,
+                        self.upload_bytes, self.download_bytes) >= 0
+                and self.r_edge):
             return
         for name in ("r_mobile", "r_edge", "r_cloud", "up_edge",
                      "down_edge", "up_cloud", "down_cloud"):
@@ -115,6 +119,11 @@ class Task:
     offloadable: bool = True
 
     def __post_init__(self) -> None:
+        # Fast path, as in CostProfile; the checks below accept a superset.
+        if (type(self.id) is type(self.user_id) is type(self.app) is str
+                and type(self.arrival) is int and self.arrival >= 0
+                and type(self.offloadable) is bool):
+            return
         _check_duration("arrival", self.arrival)
         for name in ("id", "user_id", "app"):
             value = getattr(self, name)

@@ -14,11 +14,12 @@ across repeats.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+import re
 import statistics
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
@@ -121,36 +122,37 @@ class SimReport:
     def write_json(self, path: str | Path) -> None:
         """Write to_dict() as sorted-key, 2-space-indented JSON.
 
-        The records are streamed one at a time through json's C encoder
-        (indent=2 forces the slower pure-Python one), framed so that the
-        bytes equal json.dumps(self.to_dict(), sort_keys=True, indent=2).
+        The head (aggregates, config, policy) goes through json.dumps;
+        each record is streamed through one template of the same layout,
+        so the bytes equal json.dumps(self.to_dict(), sort_keys=True,
+        indent=2).  A record whose fields are not exactly their annotated
+        types raises TypeError before anything is written for it.
         """
         head = json.dumps({"aggregates": self.aggregates,
                            "config": self.config,
                            "policy": self.policy}, sort_keys=True, indent=2)
         with open(path, "w") as fh:
             fh.write(head[:-2] + ',\n  "tasks": [')  # reopen the closing "\n}"
-            sep = "\n"
-            for r in self.records:
-                fh.write(sep + "    {\n      " + _encode_record(vars(r))[1:-1]
-                         + "\n    }")
-                sep = ",\n"
-            fh.write("\n  ]\n}\n" if self.records else "]\n}\n")
+            records = map(_record_json, self.records)
+            first = next(records, None)
+            if first is None:
+                fh.write("]\n}\n")
+                return
+            fh.write(first[1:])  # no comma before the first record
+            fh.writelines(records)
+            fh.write("\n  ]\n}\n")
 
     def write_csv(self, path: str | Path) -> None:
+        """Write one row per record, as csv.writer's default dialect would.
+
+        Rows end in \\r\\n, and a text field is quoted, with its quotes
+        doubled, exactly when it holds a comma, a quote, \\r or \\n
+        (QUOTE_MINIMAL).  Unlike csv.writer on Python 3.10, a NUL is
+        written as it is.  Records are checked as in write_json.
+        """
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow([
-                    r.task_id, r.user_id, r.app, r.arrival, r.platform,
-                    "" if r.vm_index is None else r.vm_index,
-                    r.predicted_completion, r.ready, r.start, r.completion,
-                    r.waiting,
-                    "" if r.deadline is None else r.deadline,
-                    "" if r.deadline_met is None else int(r.deadline_met),
-                    r.bytes_up, r.bytes_down, repr(r.energy_j),
-                ])
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+            fh.writelines(map(_record_csv, self.records))
 
     def summary_text(self) -> str:
         a = self.aggregates
@@ -173,17 +175,86 @@ class SimReport:
         return "\n".join(lines)
 
 
-# A TaskRecord is a flat dict of scalars, so this item separator lays its
-# fields out exactly as indent=2 does at depth 2.
-_encode_record = json.JSONEncoder(sort_keys=True,
-                                  separators=(",\n      ", ": ")).encode
-
 CSV_COLUMNS = [
     "task_id", "user_id", "app", "arrival_us", "platform", "vm_index",
     "predicted_completion_us", "ready_us", "start_us", "completion_us",
     "waiting_us", "deadline_us", "deadline_met", "bytes_up", "bytes_down",
     "energy_j",
 ]
+
+# --------------------------------------------------------------------------
+# report rows: one template per record.  For the exact types TaskRecord
+# declares, %s writes what json.dumps and csv.writer write (str(int) and
+# str(float) are their reprs); _check_types refuses any other type.
+
+_DECLARED = {"str": (str,), "int": (int,), "float": (float,),
+             "int | None": (int, type(None)), "bool | None": (bool, type(None))}
+_RECORD_TYPES = [(f.name, _DECLARED[f.type])
+                 for f in dataclasses.fields(TaskRecord)]
+
+
+def _check_types(r: TaskRecord) -> None:
+    if (type(r.task_id) is type(r.user_id) is type(r.app) is type(r.platform)
+            is str
+            and type(r.arrival) is type(r.predicted_completion) is type(r.ready)
+            is type(r.start) is type(r.completion) is type(r.waiting)
+            is type(r.bytes_up) is type(r.bytes_down) is int
+            and type(r.energy_j) is float
+            and (r.vm_index is None or type(r.vm_index) is int)
+            and (r.deadline is None or type(r.deadline) is int)
+            and (r.deadline_met is None or type(r.deadline_met) is bool)):
+        return
+    for name, types in _RECORD_TYPES:
+        value = getattr(r, name)
+        if type(value) not in types:
+            raise TypeError(f"record {r.task_id!r}: {name} holds {value!r}, "
+                            f"not {' or '.join(t.__name__ for t in types)}")
+
+
+# a record at depth 2 of indent=2, keys sorted, led by its separator
+_RECORD_JSON = (",\n    {\n" + ",\n".join(
+    f'      "{name}": %s' for name in sorted(f.name for f in
+                                            dataclasses.fields(TaskRecord)))
+    + "\n    }")
+
+
+def _record_json(r: TaskRecord, text=encode_basestring_ascii) -> str:
+    _check_types(r)
+    met, energy = r.deadline_met, r.energy_j
+    if energy - energy != 0.0:  # json's names for the non-finite floats
+        energy = ("NaN" if energy != energy
+                  else "Infinity" if energy > 0 else "-Infinity")
+    return _RECORD_JSON % (  # in sorted-key order
+        text(r.app), r.arrival, r.bytes_down, r.bytes_up, r.completion,
+        "null" if r.deadline is None else r.deadline,
+        "null" if met is None else "true" if met else "false",
+        energy, text(r.platform), r.predicted_completion, r.ready, r.start,
+        text(r.task_id), text(r.user_id),
+        "null" if r.vm_index is None else r.vm_index, r.waiting)
+
+
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\r\n"
+_csv_needs_quotes = re.compile('[,"\r\n]').search
+
+
+def _csv_text(s: str) -> str:
+    """s as csv.QUOTE_MINIMAL writes it in the default dialect."""
+    if _csv_needs_quotes(s) is None:
+        return s
+    return '"' + s.replace('"', '""') + '"'
+
+
+def _record_csv(r: TaskRecord) -> str:
+    _check_types(r)
+    met = r.deadline_met
+    return _CSV_ROW % (
+        _csv_text(r.task_id), _csv_text(r.user_id), _csv_text(r.app),
+        r.arrival, _csv_text(r.platform),
+        "" if r.vm_index is None else r.vm_index,
+        r.predicted_completion, r.ready, r.start, r.completion, r.waiting,
+        "" if r.deadline is None else r.deadline,
+        "" if met is None else "1" if met else "0",
+        r.bytes_up, r.bytes_down, r.energy_j)
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,11 @@ import json
 import logging
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .model import (CostProfile, Task, TraceError, check_int, check_real,
@@ -54,8 +56,16 @@ class MixSpec:
                                ("compute", self.compute_weights)):
             if not weights:
                 raise ValueError(f"{label} app weights must not be empty")
-            if any(w <= 0 for w in weights.values()):
-                raise ValueError(f"{label} app weights must all be positive")
+            # generate() draws from the running sums of these weights
+            # without random.choices' checks, so every weight and the
+            # total must be finite and the total positive.
+            for app, w in weights.items():
+                check_real(f"{label} weight of {app!r}", w)
+                if w <= 0:
+                    raise ValueError(f"{label} app weights must all be positive, "
+                                     f"got {w!r} for {app!r}")
+            check_real(f"{label} weight total",
+                       sum(weights[app] for app in sorted(weights)))
 
     @classmethod
     def preset(cls, name: str) -> "MixSpec":
@@ -79,10 +89,31 @@ class TraceFile:
 
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# A task line as _encode_line writes dataclasses.asdict(task): keys sorted,
+# no spaces.  Strings take json's own C escaper, ints %d.
+_TASK_LINE = (
+    '{"app":%s,"arrival":%d,"id":%s,"offloadable":%s,"profile":{'
+    '"down_cloud":%d,"down_edge":%d,"download_bytes":%d,'
+    '"r_cloud":%d,"r_edge":%d,"r_mobile":%d,'
+    '"up_cloud":%d,"up_edge":%d,"upload_bytes":%d},"user_id":%s}\n')
+
+
+def _task_line(task: Task, text=encode_basestring_ascii) -> str:
+    p = task.profile
+    return _TASK_LINE % (
+        text(task.app), task.arrival, text(task.id),
+        "true" if task.offloadable else "false",
+        p.down_cloud, p.down_edge, p.download_bytes, p.r_cloud, p.r_edge,
+        p.r_mobile, p.up_cloud, p.up_edge, p.upload_bytes, text(task.user_id))
+
 
 def save(trace: TraceFile, path: str | Path) -> None:
     """Write the header line, then one line per task, streamed.
 
+    The header goes through json's encoder, each task line through one
+    template; the bytes equal json.dumps(row, sort_keys=True,
+    separators=(",", ":")) of the header and of dataclasses.asdict(task)
+    (the constructors' checks make every field a str, int or bool).
     Lines go to a sibling temporary file that replaces `path` only once
     every task has been encoded, so a task that cannot be encoded leaves
     no truncated trace behind (load() would take it for a shorter one).
@@ -95,8 +126,7 @@ def save(trace: TraceFile, path: str | Path) -> None:
     try:
         with open(tmp, "w") as fh:
             fh.write(head + "\n")
-            for task in trace.tasks:
-                fh.write(_encode_line(_task_to_dict(task)) + "\n")
+            fh.writelines(map(_task_line, trace.tasks))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -128,10 +158,6 @@ def load(path: str | Path) -> TraceFile:
     for warning in validate_trace(tasks):
         logger.warning("%s: %s", path, warning)
     return TraceFile(header=header, tasks=tasks)
-
-
-def _task_to_dict(task: Task) -> dict:
-    return {**vars(task), "profile": vars(task.profile)}
 
 
 def _task_from_dict(row: dict) -> Task:
@@ -213,30 +239,23 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
         if name not in apps:
             raise ValueError(f"mix references unknown app {name!r}")
 
-    # Cumulative weights once per class: choices() draws with them exactly
-    # what it draws with the plain weights, which it would sum per call.
-    interactive_names = sorted(mix.interactive_weights)
-    interactive_cw = list(accumulate(
-        mix.interactive_weights[a] for a in interactive_names))
-    compute_names = sorted(mix.compute_weights)
-    compute_cw = list(accumulate(mix.compute_weights[a] for a in compute_names))
-
+    # random.choices(names, cum_weights=cw)[0] and random.uniform(a, b)
+    # written out: the same draws from rng.random(), in the same order.
+    interactive = _class_draw(mix.interactive_weights)
+    compute = _class_draw(mix.compute_weights)
     rng = random.Random(seed)
+    random_ = rng.random
     tasks: list[Task] = []
     arrival = 0
     for i in range(n):
         arrival += from_seconds(rng.expovariate(lam))
-        if rng.random() < mix.interactive_fraction:
-            app = rng.choices(interactive_names, cum_weights=interactive_cw)[0]
-        else:
-            app = rng.choices(compute_names, cum_weights=compute_cw)[0]
-        tasks.append(Task(
-            id=f"t{i:05d}",
-            user_id=f"u{rng.randrange(_USER_POOL):02d}",
-            app=app,
-            arrival=arrival,
-            profile=_draw_profile(rng, apps[app], links),
-        ))
+        names, cw, total, hi = (interactive
+                                if random_() < mix.interactive_fraction
+                                else compute)
+        app = names[bisect(cw, random_() * total, 0, hi)]
+        # positional, in field order: id, user_id, app, arrival, profile
+        tasks.append(Task(f"t{i:05d}", f"u{rng.randrange(_USER_POOL):02d}",
+                          app, arrival, _draw_profile(random_, apps[app], links)))
     header = {
         "schema": SCHEMA,
         "generator": {
@@ -254,27 +273,37 @@ def generate(n: int, lam: float, mix: MixSpec, seed: int,
     return TraceFile(header=header, tasks=tasks)
 
 
-def _draw_profile(rng: random.Random, app: _AppArchetype,
+def _class_draw(weights: dict[str, float]):
+    """What random.choices draws one of `weights`' apps from: the sorted
+    names, their running sums, the total as a float, and the last index.
+    MixSpec checked that the total is finite and positive, as choices
+    would."""
+    names = sorted(weights)
+    cw = list(accumulate(weights[a] for a in names))
+    return names, cw, cw[-1] + 0.0, len(cw) - 1
+
+
+def _draw_profile(random_, app: _AppArchetype,
                   links: _LinkParams) -> CostProfile:
     """Jitter each archetype quantity by +/- _PROFILE_JITTER; a transfer
-    leg is its link's latency plus the jittered size over its rate."""
-    uniform = rng.uniform
+    leg is its link's latency plus the jittered size over its rate.
+    uniform(a, b) is a + (b - a) * random_(), as random.uniform draws it."""
     lo, hi = 1.0 - _PROFILE_JITTER, 1.0 + _PROFILE_JITTER
-    r_mobile = from_seconds(app.r_mobile_s * uniform(lo, hi))
-    r_edge = from_seconds(app.r_edge_s * uniform(lo, hi))
-    r_cloud = round(r_edge * uniform(*_REMOTE_SPEED_RANGE))
-    up_kb = app.upload_kb * uniform(lo, hi)
-    down_kb = app.download_kb * uniform(lo, hi)
+    width = hi - lo
+    speed_lo, speed_hi = _REMOTE_SPEED_RANGE
+    r_mobile = from_seconds(app.r_mobile_s * (lo + width * random_()))
+    r_edge = from_seconds(app.r_edge_s * (lo + width * random_()))
+    r_cloud = round(r_edge * (speed_lo + (speed_hi - speed_lo) * random_()))
+    up_kb = app.upload_kb * (lo + width * random_())
+    down_kb = app.download_kb * (lo + width * random_())
     edge_s = links.edge_latency_ms / 1000.0
     cloud_s = links.cloud_latency_ms / 1000.0
+    edge_rate, cloud_rate = links.edge_rate_kb_per_s, links.cloud_rate_kb_per_s
+    # positional, in field order
     return CostProfile(
-        r_mobile=r_mobile,
-        r_edge=r_edge,
-        r_cloud=r_cloud,
-        up_edge=from_seconds(edge_s + up_kb / links.edge_rate_kb_per_s),
-        down_edge=from_seconds(edge_s + down_kb / links.edge_rate_kb_per_s),
-        up_cloud=from_seconds(cloud_s + up_kb / links.cloud_rate_kb_per_s),
-        down_cloud=from_seconds(cloud_s + down_kb / links.cloud_rate_kb_per_s),
-        upload_bytes=round(up_kb * 1024),
-        download_bytes=round(down_kb * 1024),
-    )
+        r_mobile, r_edge, r_cloud,
+        from_seconds(edge_s + up_kb / edge_rate),
+        from_seconds(edge_s + down_kb / edge_rate),
+        from_seconds(cloud_s + up_kb / cloud_rate),
+        from_seconds(cloud_s + down_kb / cloud_rate),
+        round(up_kb * 1024), round(down_kb * 1024))

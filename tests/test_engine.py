@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from echo_sched import engine
 from echo_sched.engine import decide, estimate, fastest
 from echo_sched.model import CostProfile, Platform, Task
-from echo_sched.scheduler import VmQueue
+from echo_sched.scheduler import VmQueue, best_vm
 from conftest import edge_ready, mk_task, sec
 
 
@@ -66,6 +67,29 @@ def test_decide_cloud_leaves_queue_untouched():
     assert decision.vm_index is None and decision.deadline is None
     assert queues[0].future_chunks == before_chunks == (("f", sec(5)),)
     assert queues[0].version == before_version
+
+
+def test_decide_runs_no_trial_when_the_edge_cannot_win(monkeypatch):
+    # ready + r_edge + down_edge = 1 + 4 + 1.5 s misses the 6 s cloud
+    # time by 0.5 s on any queue, so the edge is never tried; 1 s of
+    # download less and the bound is met exactly, the trial runs, and the
+    # edge wins the tie
+    queues = [VmQueue(0), VmQueue(1)]
+    tried = []
+    monkeypatch.setattr(engine, "best_vm",
+                        lambda *args: tried.append(args) or best_vm(*args))
+    late = mk_task("t0", 1.0, r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
+                   down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=1.5)
+    decision = decide(late, queues, edge_ready(late))
+    assert decision.platform is Platform.CLOUD
+    assert tried == []
+    assert [q.now for q in queues] == [0, 0]
+    fits = mk_task("t1", 1.0, r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
+                   down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=1.0)
+    decision = decide(fits, queues, edge_ready(fits))
+    assert decision.platform is Platform.EDGE
+    assert decision.predicted_completion == decision.deadline == sec(7)
+    assert len(tried) == 1
 
 
 def test_decide_mobile_when_not_offloadable():

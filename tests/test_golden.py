@@ -1,7 +1,9 @@
-"""Golden digests: refactors must leave every report and delta byte unchanged.
+"""Golden digests: refactors must leave every trace, report and delta byte
+unchanged.
 
-Each report case replays one small seeded trace and pins the sha256 of
-the report's JSON file followed by its CSV file.  The codec case pins the
+Each trace case pins the sha256 of a generated trace as save() writes
+it.  Each report case replays one small seeded trace and pins the sha256
+of the report's JSON file followed by its CSV file.  The codec case pins the
 sha256 of every delta diff_encode emits over a seeded corpus of payload
 pairs.  A change that alters a report or a delta on purpose must say why
 and update the digest here; a refactor must not touch these tables at all.
@@ -14,9 +16,34 @@ import pytest
 
 from echo_sched.objectsync import SyncParams, diff_apply, diff_encode
 from echo_sched.sim import SimConfig, run
-from echo_sched.traceio import MixSpec, generate
+from echo_sched.traceio import MixSpec, generate, save
 
 TRACE_N, TRACE_LAM, TRACE_SEED = 400, 8.0, 3
+
+# save(generate(TRACE_N, TRACE_LAM, mix, seed)): both the generator's
+# draws and the line writer's bytes.
+TRACE_GOLDEN = {
+    ("mix-1", 3):
+        "1520c4f915fc5afb8d6e07b4e3d479f03da3a210bb53eca60434798384431382",
+    ("mix-1", 1001):
+        "8750f6fd515451728e2fdd95359a31964bdda5e71edfefbc6651ddf3dab39457",
+    ("mix-2", 3):
+        "c07fa33806724b5d0926ea744632e468c01128eec36245fec2d492453ddc1cd8",
+    ("mix-2", 1001):
+        "2a76cab80597ae4efb313eb1fd99e902c207070f343d29823db8da74960458f6",
+    ("mix-3", 3):
+        "3285d8332357c0a90fabd72a9ad058dda0ce8586a481030f41290d557dcd59a4",
+    ("mix-3", 1001):
+        "0d2cd03fee55f40ea90dab01f9f52d7968fb0504f1f0d3702eaf0fa4684d6142",
+}
+
+
+@pytest.mark.parametrize("mix,seed", list(TRACE_GOLDEN),
+                         ids=[f"{m}-{s}" for m, s in TRACE_GOLDEN])
+def test_trace_bytes_match_golden_digest(mix, seed, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save(generate(TRACE_N, TRACE_LAM, MixSpec.preset(mix), seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_GOLDEN[(mix, seed)]
 
 GOLDEN = {
     ("end-only", 0):

@@ -31,18 +31,32 @@ leaves a queue exactly as advance(b) alone does.
 (h) load(at) reads the schedule right: on random sessions of best-effort
 appends ready after the horizon, trials with commits and advances, it
 equals the pending work of a copy advanced to `at`.
+
+(i) engine.decide skips the edge trials exactly: on the traces of (a)
+and (d), with estimate noise or none, echo's records equal those of a reference
+decide that runs best_vm for every offloadable arrival.
+
+(j) The writers' templates are json's bytes: on arbitrary text (NUL,
+quotes, backslashes, CR/LF, U+2028, lone surrogates) and non-negative
+ints, each task line save() writes equals json.dumps of
+dataclasses.asdict(task), and write_json equals json.dumps of to_dict().
 """
 
 import copy
+import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echo_sched.model import CostProfile, Task
+from echo_sched import engine
+from echo_sched.model import CostProfile, Decision, Platform, Task
+from echo_sched.policies import DeadlineAwareEdgePolicy
 from echo_sched.scheduler import (LateTrialError, VmQueue, best_vm, commit,
                                   trial_insert)
-from echo_sched.sim import SimConfig, run
+from echo_sched.sim import SimConfig, SimReport, TaskRecord, run
+from echo_sched.traceio import TraceFile, save
 from conftest import _SteppedVm, step_completions, step_oracle_run
 
 MS = 1000
@@ -342,3 +356,90 @@ def test_load_equals_the_pending_work_of_an_advanced_copy(ops):
             trial = trial_insert(queue, task, ready, deadline)
             if deadline is None or trial.candidate_completion <= deadline:
                 commit(trial)
+
+
+class AlwaysTrialEcho(DeadlineAwareEdgePolicy):
+    """engine.decide without its skip: every offloadable arrival trials
+    the edge, and the edge wins only if it is the fastest."""
+
+    def decide(self, task, queues, ready, config):
+        now = task.arrival
+        t_mobile, t_cloud = engine.estimate(task)
+        if config.estimate_noise:
+            t_mobile = engine._distort(t_mobile, task.id, config.seed,
+                                       config.estimate_noise)
+            t_cloud = engine._distort(t_cloud, task.id + "/c", config.seed,
+                                      config.estimate_noise)
+        if not task.offloadable:
+            return Decision(Platform.MOBILE, now + t_mobile)
+        p = task.profile
+        horizon = now + min(t_mobile, t_cloud)
+        trial = best_vm(queues, task, ready, horizon - p.down_edge)
+        t_edge = (trial.candidate_completion - now) + p.down_edge
+        chosen = engine.fastest(t_mobile, t_cloud, t_edge)
+        if chosen is Platform.EDGE:
+            commit(trial)
+            return Decision(Platform.EDGE, now + t_edge,
+                            vm_index=trial.vm_index, deadline=horizon)
+        return Decision(chosen, now + (t_cloud if chosen is Platform.CLOUD
+                                       else t_mobile))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(tasks=st.one_of(us_tasks(), ms_tasks()), num_vms=st.integers(1, 4),
+       provision_delay=st.integers(0, 200_000),
+       noise=st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+def test_skipped_edge_trials_change_no_record(tasks, num_vms, provision_delay,
+                                              noise):
+    config = SimConfig(num_vms=num_vms, provision_delay=provision_delay,
+                       estimate_noise=noise, seed=3)
+    report = run(tasks, "echo", config)
+    reference = run(tasks, AlwaysTrialEcho(), config)
+    assert report.records == reference.records
+    assert report.aggregates == reference.aggregates
+
+
+# Any text json can hold, weighted toward what the escaper must get right.
+odd_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\r\n\t\u2028\u2029\x7f\xe9,{}'),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.characters()), max_size=8)
+durations = st.integers(0, 2**63)
+
+
+@st.composite
+def odd_tasks(draw):
+    n = draw(st.integers(1, 4))
+    return [Task(f"{draw(odd_text)}#{i}", draw(odd_text), draw(odd_text),
+                 draw(durations),
+                 CostProfile(draw(durations), draw(st.integers(1, 2**63)),
+                             *(draw(durations) for _ in range(7))),
+                 draw(st.booleans()))
+            for i in range(n)]
+
+
+@st.composite
+def odd_records(draw):
+    optional = st.one_of(st.none(), durations)
+    return [TaskRecord(draw(odd_text), draw(odd_text), draw(odd_text),
+                       draw(durations), draw(odd_text), draw(optional),
+                       *(draw(durations) for _ in range(5)),
+                       draw(optional), draw(st.one_of(st.none(), st.booleans())),
+                       draw(durations), draw(durations), draw(st.floats()))
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(tasks=odd_tasks(), records=odd_records())
+def test_writers_equal_the_json_references(tasks, records, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "written"
+    save(TraceFile(header={}, tasks=tasks), path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1:] == [
+        json.dumps(dataclasses.asdict(task), sort_keys=True,
+                   separators=(",", ":")) + "\n" for task in tasks]
+    report = SimReport(policy="echo", config={}, aggregates={},
+                       records=records)
+    report.write_json(path)
+    assert path.read_text() == json.dumps(report.to_dict(), sort_keys=True,
+                                          indent=2) + "\n"

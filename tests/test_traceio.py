@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import math
+import random
 import statistics
 
 import pytest
 
-from echo_sched.model import TraceError, to_seconds, validate_trace
-from echo_sched.traceio import SCHEMA, MixSpec, TraceFile, generate, load, save
+from echo_sched.model import (CostProfile, Task, TraceError, from_seconds,
+                              to_seconds, validate_trace)
+from echo_sched.traceio import (SCHEMA, MixSpec, TraceFile, _load_profiles,
+                                generate, load, save)
 
 INTERACTIVE = {"ocr", "filter"}
 COMPUTE = {"chess", "sudoku", "nqueens"}
@@ -200,6 +203,26 @@ def test_mix_presets():
         MixSpec(0.5, compute_weights={})
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, True, "1"])
+@pytest.mark.parametrize("label", ["interactive", "compute"])
+def test_mix_rejects_a_weight_that_is_not_a_finite_real(label, bad):
+    weights = {"interactive": {"ocr": 1.0, "filter": bad},
+               "compute": {"chess": bad, "sudoku": 1.0}}[label]
+    with pytest.raises(ValueError, match=f"^{label} weight of"):
+        MixSpec(0.5, **{f"{label}_weights": weights})
+
+
+def test_mix_rejects_non_finite_weights_of_a_class_never_drawn():
+    # with no interactive draws this once wrote a trace silently
+    with pytest.raises(ValueError, match="^interactive weight of 'ocr'"):
+        MixSpec(0.0, interactive_weights={"ocr": math.inf})
+    # finite weights whose total overflows
+    with pytest.raises(ValueError, match="^compute weight total"):
+        MixSpec(1.0, compute_weights={"chess": 1e308, "sudoku": 1e308})
+    with pytest.raises(ValueError, match="positive, got 0 for 'filter'"):
+        MixSpec(1.0, interactive_weights={"ocr": 1, "filter": 0})
+
+
 def test_generated_ids_arrivals_and_users():
     trace = generate(n=100, lam=2.0, mix=MixSpec.preset("mix-1"), seed=7)
     assert [t.id for t in trace.tasks] == [f"t{i:05d}" for i in range(100)]
@@ -219,6 +242,50 @@ def test_interarrival_mean_matches_lambda():
     mean = statistics.fmean(gaps)
     # 3 sigma of the sample mean of Exp(2): 3 * 0.5 / sqrt(n)
     assert abs(mean - 0.5) <= 3 * 0.5 / math.sqrt(n)
+
+
+def reference_tasks(n, lam, mix, seed) -> list[Task]:
+    """generate()'s tasks drawn through random's own choices and uniform."""
+    apps, links = _load_profiles(None)
+    rng = random.Random(seed)
+    tasks, arrival = [], 0
+    for i in range(n):
+        arrival += from_seconds(rng.expovariate(lam))
+        weights = (mix.interactive_weights
+                   if rng.random() < mix.interactive_fraction
+                   else mix.compute_weights)
+        names = sorted(weights)
+        name = rng.choices(names, [weights[a] for a in names])[0]
+        user = f"u{rng.randrange(100):02d}"
+        app = apps[name]
+        r_mobile = from_seconds(app.r_mobile_s * rng.uniform(0.75, 1.25))
+        r_edge = from_seconds(app.r_edge_s * rng.uniform(0.75, 1.25))
+        r_cloud = round(r_edge * rng.uniform(0.8, 1.0))
+        up_kb = app.upload_kb * rng.uniform(0.75, 1.25)
+        down_kb = app.download_kb * rng.uniform(0.75, 1.25)
+        edge_s = links.edge_latency_ms / 1000.0
+        cloud_s = links.cloud_latency_ms / 1000.0
+        profile = CostProfile(
+            r_mobile=r_mobile, r_edge=r_edge, r_cloud=r_cloud,
+            up_edge=from_seconds(edge_s + up_kb / links.edge_rate_kb_per_s),
+            down_edge=from_seconds(edge_s + down_kb / links.edge_rate_kb_per_s),
+            up_cloud=from_seconds(cloud_s + up_kb / links.cloud_rate_kb_per_s),
+            down_cloud=from_seconds(cloud_s
+                                    + down_kb / links.cloud_rate_kb_per_s),
+            upload_bytes=round(up_kb * 1024),
+            download_bytes=round(down_kb * 1024))
+        tasks.append(Task(id=f"t{i:05d}", user_id=user, app=name,
+                          arrival=arrival, profile=profile))
+    return tasks
+
+
+@pytest.mark.parametrize("mix", [
+    MixSpec.preset("mix-2"),
+    MixSpec(0.4, {"ocr": 0.3, "filter": 2.7},
+            {"chess": 1e-9, "sudoku": 5.5, "nqueens": 1 / 3}),
+    MixSpec(0.7, {"ocr": 3, "filter": 1}, {"chess": 2, "nqueens": 7})])
+def test_generate_draws_what_choices_and_uniform_draw(mix):
+    assert generate(300, 1.5, mix, 7).tasks == reference_tasks(300, 1.5, mix, 7)
 
 
 def test_class_balance_tracks_the_mix():

@@ -189,7 +189,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"{name}: mean={_fmt(a['mean_completion_s'])}s "
               f"p95={_fmt(a['p95_completion_s'])}s "
               f"compliance={_fmt(a['deadline_compliance'])}")
-    with open(out_dir / "comparison.csv", "w", newline="") as fh:
+    with open(out_dir / "comparison.csv", "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "mean_completion_s", "p95_completion_s",
                          "deadline_compliance", "bytes_up", "bytes_down",
@@ -205,7 +206,7 @@ def _fmt(value) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        payload = json.loads(Path(args.path).read_text())
+        payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
         report = SimReport(policy=payload["policy"], config=payload["config"],
                            records=[], aggregates=payload["aggregates"])
         summary = report.summary_text()

@@ -44,16 +44,21 @@ class LateTrialError(SchedulerError):
 
 
 class TaskEntry:
-    """Mutable bookkeeping for one task admitted to a VM queue."""
+    """Mutable bookkeeping for one task on a VM queue; its chunks hold it.
 
-    __slots__ = ("ready", "deadline", "total", "executed", "first_start",
+    advance() lowers `remaining`, the chunks' total work, and sets
+    `completion` when it reaches 0.
+    """
+
+    __slots__ = ("id", "ready", "deadline", "remaining", "first_start",
                  "completion")
 
-    def __init__(self, ready: int, deadline: int | None, total: int):
+    def __init__(self, id: str, ready: int, deadline: int | None,
+                 remaining: int):
+        self.id = id
         self.ready = ready
         self.deadline = deadline          # latest allowed execution end; None = best effort
-        self.total = total
-        self.executed = 0
+        self.remaining = remaining
         self.first_start: int | None = None
         self.completion: int | None = None  # execution end, set once the last chunk runs
 
@@ -61,8 +66,9 @@ class TaskEntry:
 class VmQueue:
     """One VM's ordered schedule of pending work chunks.
 
-    `_chunks` holds only future work as (task_id, work) pairs in queue
-    order; advance() drops the elapsed part of a preempted or running task,
+    `_chunks` holds only future work as (entry, work) pairs in queue
+    order, the entry being the TaskEntry that `_entries` maps the task id
+    to; advance() drops the elapsed part of a preempted or running task,
     which can never be displaced.  Running values spare load() and
     horizon() a walk over the queue: `_pending` is the chunks' total work,
     `_tail` the packed end of the last chunk, and `_gap_end` an instant by
@@ -87,21 +93,12 @@ class VmQueue:
         self.vm_index = vm_index
         self.now = now
         self.version = 0
-        self._chunks: list[tuple[str, int]] = []
+        self._chunks: list[tuple[TaskEntry, int]] = []
         self._entries: dict[str, TaskEntry] = {}
         self._pending = 0
         self._tail = self._gap_end = now
 
     # ------------------------------------------------------------- queries
-
-    def remaining_work(self, task_id: str) -> int:
-        """Unexecuted work of a task at time `now` (0 once completed)."""
-        try:
-            entry = self._entries[task_id]
-        except KeyError:
-            # Callers ask only about tasks they placed on this VM.
-            raise SchedulerError(f"unknown task {task_id!r} on vm {self.vm_index}") from None
-        return entry.total - entry.executed
 
     def load(self, at: int) -> int:
         """Pending work once the schedule has run to `at` (at >= now).
@@ -116,7 +113,8 @@ class VmQueue:
 
     @property
     def future_chunks(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._chunks)
+        """The pending chunks as (task_id, work) pairs, in queue order."""
+        return tuple([(entry.id, w) for entry, w in self._chunks])
 
     def entry(self, task_id: str) -> TaskEntry:
         """A placed task's bookkeeping; callers only read it."""
@@ -136,11 +134,9 @@ class VmQueue:
         if to == self.now:
             return
         chunks = self._chunks
-        entries = self._entries
         cursor = self.now
         consumed = executed = 0
-        for tid, w in chunks:
-            entry = entries[tid]
+        for entry, w in chunks:
             start = entry.ready if entry.ready > cursor else cursor
             if start >= to:
                 break
@@ -148,16 +144,16 @@ class VmQueue:
                 entry.first_start = start
             cursor = start + w
             if cursor <= to:
-                entry.executed += w
+                entry.remaining -= w
                 executed += w
                 consumed += 1
-                if entry.executed == entry.total:
+                if not entry.remaining:
                     entry.completion = cursor
             else:
                 run = to - start
-                entry.executed += run
+                entry.remaining -= run
                 executed += run
-                chunks[consumed] = (tid, w - run)
+                chunks[consumed] = (entry, w - run)
                 break
         if consumed:
             del chunks[:consumed]
@@ -175,8 +171,9 @@ class VmQueue:
             raise SchedulerError(f"task {task.id!r} already on vm {self.vm_index}")
         work = task.profile.r_edge
         horizon = self.horizon()
-        self._entries[task.id] = TaskEntry(ready, None, work)
-        self._chunks.append((task.id, work))
+        entry = TaskEntry(task.id, ready, None, work)
+        self._entries[task.id] = entry
+        self._chunks.append((entry, work))
         self._pending += work
         if ready > horizon:
             self._gap_end = horizon = ready
@@ -185,38 +182,34 @@ class VmQueue:
         return self._tail
 
 
-def _pack(chunks: list[tuple[str, int]],
-          entries: dict[str, TaskEntry],
-          now: int,
-          new_id: str | None = None,
-          new_ready: int = 0
-          ) -> tuple[list[int], dict[str, int]]:
+def _pack(chunks: list[tuple[TaskEntry, int]], now: int
+          ) -> tuple[list[int], dict[TaskEntry, int]]:
     """Pack chunks contiguously from `now`, honouring per-task ready times.
 
-    A chunk starts at its task's ready time or at the previous chunk's
-    end, whichever is later; chunks of `new_id`, a task not yet in
-    `entries`, are ready at `new_ready`.  Returns the end of every chunk
-    (its start is its end minus its work) and every task's execution end,
-    the end of its last chunk.
+    A chunk starts at its entry's ready time or at the previous chunk's
+    end, whichever is later.  Returns the end of every chunk (its start is
+    its end minus its work) and every entry's execution end, the end of
+    its last chunk.
     """
     chunk_ends: list[int] = []
-    task_ends: dict[str, int] = {}
+    task_ends: dict[TaskEntry, int] = {}
     cursor = now
-    for tid, w in chunks:
-        ready = new_ready if tid == new_id else entries[tid].ready
+    for entry, w in chunks:
+        ready = entry.ready
         cursor = (ready if ready > cursor else cursor) + w
         chunk_ends.append(cursor)
-        task_ends[tid] = cursor
+        task_ends[entry] = cursor
     return chunk_ends, task_ends
 
 
-def _merge_adjacent(chunks: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    merged: list[tuple[str, int]] = []
-    for tid, w in chunks:
-        if merged and merged[-1][0] == tid:
-            merged[-1] = (tid, merged[-1][1] + w)
+def _merge_adjacent(chunks: list[tuple[TaskEntry, int]]
+                    ) -> list[tuple[TaskEntry, int]]:
+    merged: list[tuple[TaskEntry, int]] = []
+    for entry, w in chunks:
+        if merged and merged[-1][0] is entry:
+            merged[-1] = (entry, merged[-1][1] + w)
         else:
-            merged.append((tid, w))
+            merged.append((entry, w))
     return merged
 
 
@@ -226,8 +219,8 @@ class TrialInsertion:
 
     delta_t is the completion-time growth: the newcomer's response time
     plus every delay inflicted on already-queued tasks; tail is the packed
-    end of the candidate's last chunk.  The trial never mutates the source
-    queue; commit() applies it.
+    end of the candidate's last chunk; entry is the newcomer's TaskEntry,
+    which commit() installs.  The trial never mutates the source queue.
     """
 
     vm_index: int
@@ -235,11 +228,8 @@ class TrialInsertion:
     candidate_completion: int
     tail: int
     repair_iterations: int
-    candidate_chunks: tuple[tuple[str, int], ...]
-    task_id: str
-    ready: int
-    deadline: int | None
-    work: int
+    candidate_chunks: tuple[tuple[TaskEntry, int], ...]
+    entry: TaskEntry
     _source: VmQueue = field(repr=False)
     _source_version: int = field(repr=False)
 
@@ -259,17 +249,17 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     now = queue.now
     if ready < now:
         raise SchedulerError(f"ready {ready} before queue time {now}")
-    if task.id in queue._entries:
+    entries = queue._entries
+    if task.id in entries:
         raise SchedulerError(f"task {task.id!r} already on vm {queue.vm_index}")
     work = task.profile.r_edge
-    entries = queue._entries
+    new = TaskEntry(task.id, ready, deadline, work)
     original = queue._chunks
 
     # SRTF scan: first queued task with more remaining work than the newcomer.
     insert_at: int | None = None
-    for idx, (tid, _) in enumerate(original):
-        entry = entries[tid]
-        if entry.total - entry.executed > work:
+    for idx, (entry, _) in enumerate(original):
+        if entry.remaining > work:
             insert_at = idx
             break
 
@@ -277,30 +267,29 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     candidate = new_ends = None
     if insert_at is not None:
         candidate, new_ends, tail, repair_iterations = _repair(
-            original, entries, now, task.id, ready, work, insert_at,
-            queue.vm_index)
+            original, now, new, insert_at, len(entries), queue.vm_index)
     delay = 0
     if candidate is None:
         # Nothing to preempt, or preempting here cannot be repaired: a tail
         # append delays nobody and is therefore always admissible.
-        candidate_chunks = (*original, (task.id, work))
+        candidate_chunks = (*original, (new, work))
         horizon = queue.horizon()
         completion = tail = (ready if ready > horizon else horizon) + work
     else:
         # Every chunk has positive work, so merging adjacent chunks of one
         # task moves no end: the repair's task ends price the merged list.
         candidate_chunks = tuple(_merge_adjacent(candidate))
-        _, old_ends = _pack(original, entries, now)
-        for tid, end in old_ends.items():
-            inflicted = new_ends[tid] - end
+        _, old_ends = _pack(original, now)
+        for entry, end in old_ends.items():
+            inflicted = new_ends[entry] - end
             if inflicted < 0:
                 # The newcomer only adds work ahead of queued tasks, and repair
                 # pins a violator at its deadline, at or after its old end.
                 raise SchedulerError(
-                    f"insertion of {task.id!r} pulled {tid!r} earlier on vm "
-                    f"{queue.vm_index}; schedule corrupted")
+                    f"insertion of {task.id!r} pulled {entry.id!r} earlier on "
+                    f"vm {queue.vm_index}; schedule corrupted")
             delay += inflicted
-        completion = new_ends[task.id]
+        completion = new_ends[new]
     delta_t = (completion - task.arrival) + delay
 
     return TrialInsertion(
@@ -310,26 +299,21 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         tail=tail,
         repair_iterations=repair_iterations,
         candidate_chunks=candidate_chunks,
-        task_id=task.id,
-        ready=ready,
-        deadline=deadline,
-        work=work,
+        entry=new,
         _source=queue,
         _source_version=queue.version,
     )
 
 
-def _repair(original: list[tuple[str, int]],
-            entries: dict[str, TaskEntry],
+def _repair(original: list[tuple[TaskEntry, int]],
             now: int,
-            new_id: str,
-            new_ready: int,
-            work: int,
+            new: TaskEntry,
             insert_at: int,
+            admitted: int,
             vm_index: int
-            ) -> tuple[list[tuple[str, int]] | None, dict[str, int] | None,
-                       int, int]:
-    """Insert the newcomer at insert_at and repair deadline violations.
+            ) -> tuple[list[tuple[TaskEntry, int]] | None,
+                       dict[TaskEntry, int] | None, int, int]:
+    """Insert the newcomer's entry at insert_at and repair deadline violations.
 
     Each round packs the candidate once, finds the first admitted task
     past its deadline (in queue order), pins it to finish exactly at its
@@ -337,7 +321,8 @@ def _repair(original: list[tuple[str, int]],
     before its final chunk, and carries the evicted work forward as the
     next round's insertion.  Pinned tasks and the violator's own chunks
     are never evicted, so a pinned task can only ever finish earlier, and
-    every round pins a distinct task: the loop terminates.  Returns
+    every round pins a distinct one of the `admitted` tasks: the loop
+    terminates.  Returns
     (candidate, task ends, tail, rounds) from the final round's pack, tail
     being its last chunk's end, or (None, None, 0, rounds) when a round has
     nothing movable left to evict or no eviction amount lands the violator
@@ -353,28 +338,28 @@ def _repair(original: list[tuple[str, int]],
     so a partial eviction takes more than nothing; the walk asserts it.
     """
     candidate = list(original)
-    pending = [(new_id, work)]
+    pending = [(new, new.remaining)]
     position = insert_at
     # Work at chunk indexes below the floor is frozen: it belongs to tasks
     # already pinned at their deadlines (or scheduled before them), and
     # moving any of it would push a pinned task past its deadline or pull
     # other tasks ahead of their pre-insertion completions.
     floor = 0
-    pinned: set[str] = set()
+    pinned: set[TaskEntry] = set()
     rounds = 0
-    guard = len(entries) + _REPAIR_SLACK
+    guard = admitted + _REPAIR_SLACK
     while True:
         candidate[position:position] = pending
-        chunk_ends, ends = _pack(candidate, entries, now, new_id, new_ready)
+        chunk_ends, ends = _pack(candidate, now)
         # The newcomer is exempt: its own lateness is an admission matter
         # for the caller, not a repair matter.  Every admitted task is
         # re-checked each round: an insertion can delay a task whose last
         # chunk lies far past the round's violator, and an earlier round's
         # break must not hide it.
         for violator, _ in candidate:
-            if violator == new_id or violator in pinned:
+            if violator is new or violator in pinned:
                 continue
-            limit = entries[violator].deadline
+            limit = violator.deadline
             if limit is not None and ends[violator] > limit:
                 break
         else:
@@ -385,7 +370,7 @@ def _repair(original: list[tuple[str, int]],
             # bounded by the task count; more means the pinning broke.
             raise SchedulerError(
                 f"repair loop exceeded {guard} rounds on vm {vm_index}")
-        ready_v = entries[violator].ready
+        ready_v = violator.ready
         end = ends[violator]
         # Every chunk has positive work, so chunk ends strictly increase and
         # the violator's last chunk is the one that ends at its task end.
@@ -396,25 +381,25 @@ def _repair(original: list[tuple[str, int]],
         # `last`: everything in between is the violator's, since the walk
         # picks the latest movable chunk.
         tail = candidate[last][1]
-        evicted: list[tuple[str, int]] = []
+        evicted: list[tuple[TaskEntry, int]] = []
         source = last - 1
         while end > limit:
-            while source >= floor and candidate[source][0] == violator:
+            while source >= floor and candidate[source][0] is violator:
                 tail += candidate[source][1]
                 source -= 1
             if source < floor:
                 return None, None, 0, rounds
-            tid, w = candidate[source]
+            entry, w = candidate[source]
             # Shrinking the source by `take` moves the violator's end
             # earlier by exactly min(take, source_end - ready_v): the
             # violator's ready time caps how far its chain can slide.
             before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
-            assert full_end < end, (f"{violator!r} gated at its ready time "
+            assert full_end < end, (f"{violator.id!r} gated at its ready time "
                                     f"on vm {vm_index}: it was already late")
             if full_end >= limit:
                 del candidate[source]
-                evicted.append((tid, w))
+                evicted.append((entry, w))
                 last -= 1
                 source -= 1
                 end = full_end
@@ -425,8 +410,8 @@ def _repair(original: list[tuple[str, int]],
             take = chunk_ends[source] - (limit - tail)
             if take >= w:
                 return None, None, 0, rounds
-            candidate[source] = (tid, w - take)
-            evicted.append((tid, take))
+            candidate[source] = (entry, w - take)
+            evicted.append((entry, take))
             break
         pinned.add(violator)
         evicted.reverse()
@@ -468,16 +453,16 @@ def commit(trial: TrialInsertion) -> None:
         raise StaleTrialError(
             f"vm {queue.vm_index} changed since the trial (version "
             f"{trial._source_version} -> {queue.version})")
-    if trial.deadline is not None and trial.candidate_completion > trial.deadline:
+    entry = trial.entry
+    if entry.deadline is not None and trial.candidate_completion > entry.deadline:
         raise LateTrialError(
-            f"{trial.task_id!r} would end at {trial.candidate_completion}, "
-            f"past its deadline {trial.deadline} on vm {queue.vm_index}")
+            f"{entry.id!r} would end at {trial.candidate_completion}, "
+            f"past its deadline {entry.deadline} on vm {queue.vm_index}")
     queue._chunks = list(trial.candidate_chunks)
-    queue._entries[trial.task_id] = TaskEntry(trial.ready, trial.deadline,
-                                              trial.work)
-    queue._pending += trial.work
+    queue._entries[entry.id] = entry
+    queue._pending += entry.remaining
     queue._tail = queue._gap_end = trial.tail
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
-                 queue.vm_index, trial.task_id, trial.candidate_completion,
+                 queue.vm_index, entry.id, trial.candidate_completion,
                  trial.delta_t)

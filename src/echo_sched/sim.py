@@ -131,7 +131,7 @@ class SimReport:
         head = json.dumps({"aggregates": self.aggregates,
                            "config": self.config,
                            "policy": self.policy}, sort_keys=True, indent=2)
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(head[:-2] + ',\n  "tasks": [')  # reopen the closing "\n}"
             records = map(_record_json, self.records)
             first = next(records, None)
@@ -148,9 +148,13 @@ class SimReport:
         Rows end in \\r\\n, and a text field is quoted, with its quotes
         doubled, exactly when it holds a comma, a quote, \\r or \\n
         (QUOTE_MINIMAL).  Unlike csv.writer on Python 3.10, a NUL is
-        written as it is.  Records are checked as in write_json.
+        written as it is.  The file is UTF-8 whatever the locale; a lone
+        surrogate, which UTF-8 cannot hold, is written as its escape
+        (\\ud800), as the report JSON writes it.  Records are checked as
+        in write_json.
         """
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8",
+                  errors="backslashreplace") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
             fh.writelines(map(_record_csv, self.records))
 

@@ -124,7 +124,7 @@ def save(trace: TraceFile, path: str | Path) -> None:
     head = _encode_line(header)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(head + "\n")
             fh.writelines(map(_task_line, trace.tasks))
         os.replace(tmp, path)
@@ -135,7 +135,7 @@ def save(trace: TraceFile, path: str | Path) -> None:
 
 def load(path: str | Path) -> TraceFile:
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if not text.strip():
         return TraceFile(header={"schema": SCHEMA}, tasks=[])
     lines = text.splitlines()
@@ -191,10 +191,10 @@ class _LinkParams:
 def _load_profiles(path: str | Path | None) -> tuple[dict[str, _AppArchetype], _LinkParams]:
     parser = configparser.ConfigParser()
     if path is None:
-        text = resources.files("echo_sched").joinpath("app_profiles.ini").read_text()
-        parser.read_string(text)
+        ini = resources.files("echo_sched").joinpath("app_profiles.ini")
+        parser.read_string(ini.read_text(encoding="utf-8"))
     else:
-        read = parser.read(str(path))
+        read = parser.read(str(path), encoding="utf-8")
         if not read:
             raise TraceError(f"profile config not found: {path}")
     try:

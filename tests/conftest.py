@@ -88,6 +88,11 @@ def edge_ready(task: Task, delay: int = 0, upload: int | None = None) -> int:
 DEFAULTS = SimConfig(num_vms=1)
 
 
+def chunk_ids(chunks) -> tuple[tuple[str, int], ...]:
+    """A trial's (TaskEntry, work) chunks as (task_id, work) pairs."""
+    return tuple((entry.id, w) for entry, w in chunks)
+
+
 def step_completions(chunks, ready, now, dt=1000):
     """Tick-based completion times for an ordered chunk schedule.
 
@@ -133,7 +138,7 @@ class _SteppedVm:
         for tid, _ in self.items:
             if tid not in self.ready:
                 self.ready[tid] = queue.entry(tid).ready
-                self.totals[tid] = queue.remaining_work(tid)
+                self.totals[tid] = queue.entry(tid).remaining
             if self.ready[tid] % self.dt:
                 raise ValueError(
                     f"dt={self.dt} does not divide ready time of {tid!r}")

@@ -116,6 +116,29 @@ def test_simulate_rejects_mistyped_trace_fields(tmp_path):
         assert not (tmp_path / f"{field}.json").exists()
 
 
+def test_simulate_writes_non_ascii_and_lone_surrogate_ids(tmp_path):
+    # The trace and the report JSON escape both ids; the CSV is UTF-8, so
+    # a lone surrogate, which UTF-8 cannot hold, is written as its escape.
+    # Opened in the locale's encoding, the CSV once failed on the first
+    # id after report.json was written, and kept only its header row.
+    trace = make_trace(tmp_path, n=2)
+    lines = trace.read_text().splitlines()
+    ids = ["\ud800", "\u00e9"]
+    for i, tid in enumerate(ids, start=1):
+        row = json.loads(lines[i])
+        row["id"] = tid
+        lines[i] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                     "--vms", 1, "--out", tmp_path / "out", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    data = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert [r["task_id"] for r in data["tasks"]] == ids
+    with open(tmp_path / "out.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == ["\\ud800", "\u00e9"]
+
+
 def test_simulate_rejects_misspelled_trace_keys(tmp_path):
     # "offloadble": false once offloaded a task pinned to the device, and
     # "upload_byte" loaded as 0 bytes

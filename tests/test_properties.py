@@ -57,7 +57,8 @@ from echo_sched.scheduler import (LateTrialError, VmQueue, best_vm, commit,
                                   trial_insert)
 from echo_sched.sim import SimConfig, SimReport, TaskRecord, run
 from echo_sched.traceio import TraceFile, save
-from conftest import _SteppedVm, step_completions, step_oracle_run
+from conftest import (_SteppedVm, chunk_ids, step_completions,
+                      step_oracle_run)
 
 MS = 1000
 
@@ -260,9 +261,9 @@ def test_best_vm_returns_what_a_full_scan_returns(session):
         full = min(trials, key=lambda trial: trial.delta_t)
         chosen = best_vm(queues, task, ready, deadline)
         assert ((chosen.vm_index, chosen.delta_t, chosen.candidate_completion,
-                 chosen.candidate_chunks)
+                 chunk_ids(chosen.candidate_chunks))
                 == (full.vm_index, full.delta_t, full.candidate_completion,
-                    full.candidate_chunks)), i
+                    chunk_ids(full.candidate_chunks))), i
         if deadline is None or chosen.candidate_completion <= deadline:
             commit(chosen)
 
@@ -283,7 +284,7 @@ def clock_sessions(draw):
 def clock_state(queue, ids):
     return (queue.now, queue.future_chunks, queue.load(queue.now), queue.horizon(),
             [(queue.entry(tid).first_start, queue.entry(tid).completion,
-              queue.remaining_work(tid)) for tid in ids])
+              queue.entry(tid).remaining) for tid in ids])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

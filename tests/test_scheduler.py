@@ -20,7 +20,7 @@ from echo_sched.scheduler import (
     commit,
     trial_insert,
 )
-from conftest import SEC, sec, step_completions
+from conftest import SEC, chunk_ids, sec, step_completions
 
 
 def task_us(tid: str, work: int, arrival: int = 0) -> Task:
@@ -46,8 +46,9 @@ def oracle_ends(queue: VmQueue, dt: int = 1000) -> dict[str, int]:
 def trial_ends(queue: VmQueue, trial, dt: int = 1000) -> dict[str, int]:
     """Ticked ends of the trial's candidate schedule on its source queue."""
     ready = {tid: queue.entry(tid).ready for tid, _ in queue.future_chunks}
-    ready[trial.task_id] = trial.ready
-    return step_completions(trial.candidate_chunks, ready, queue.now, dt)
+    ready[trial.entry.id] = trial.entry.ready
+    return step_completions(chunk_ids(trial.candidate_chunks), ready,
+                            queue.now, dt)
 
 
 def assert_totals(queue: VmQueue, dt: int = 1000) -> None:
@@ -57,6 +58,17 @@ def assert_totals(queue: VmQueue, dt: int = 1000) -> None:
     assert queue.horizon() == max(ends.values(), default=queue.now)
 
 
+def assert_entries(queue: VmQueue) -> None:
+    """Each chunk holds its task's entry, and every entry's remaining work
+    is the work of its task's future chunks (0 once none is left)."""
+    future: dict[str, int] = {}
+    for entry, w in queue._chunks:
+        assert entry is queue.entry(entry.id)
+        future[entry.id] = future.get(entry.id, 0) + w
+    for tid, entry in queue._entries.items():
+        assert entry.remaining == future.get(tid, 0), tid
+
+
 # ---------------------------------------------------------------- queries
 
 
@@ -64,14 +76,14 @@ def test_remaining_work_of_running_task():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, None)
     q.advance(sec(2))
-    assert q.remaining_work("a") == sec(8)
+    assert q.entry("a").remaining == sec(8)
 
 
 def test_remaining_work_of_queued_task():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, None)
     admit(q, "b", sec(5), 0, None)
-    assert q.remaining_work("b") == sec(5)
+    assert q.entry("b").remaining == sec(5)
 
 
 def test_remaining_work_sums_future_segments():
@@ -79,7 +91,7 @@ def test_remaining_work_sums_future_segments():
     q = VmQueue(0)
     admit(q, "a", sec(5), 0, None)
     q.advance(sec(2))
-    assert q.remaining_work("a") == sec(3)
+    assert q.entry("a").remaining == sec(3)
     future = sum(w for tid, w in q.future_chunks if tid == "a")
     assert future == sec(3)
     assert q.load(q.now) == sec(3)
@@ -92,7 +104,7 @@ def test_trial_into_empty_queue():
     q = VmQueue(0)
     task = task_us("n", sec(4))
     trial = trial_insert(q, task, 0, sec(50))
-    assert trial.candidate_chunks == (("n", sec(4)),)
+    assert chunk_ids(trial.candidate_chunks) == (("n", sec(4)),)
     assert trial.candidate_completion == sec(4)
     assert trial.delta_t == sec(4)
     assert trial.repair_iterations == 0
@@ -106,11 +118,13 @@ def test_trial_preempts_longer_task():
     q = VmQueue(0)
     admit(q, "j1", sec(8), 0, sec(98))
     trial = trial_insert(q, task_us("n", sec(3)), 0, None)
-    assert trial.candidate_chunks == (("n", sec(3)), ("j1", sec(8)))
+    assert chunk_ids(trial.candidate_chunks) == (
+        ("n", sec(3)), ("j1", sec(8)))
     assert trial.candidate_completion == sec(3)
     assert trial.delta_t == sec(6)  # 3s response + 3s inflicted on j1
     assert trial.repair_iterations == 0
-    ends = step_completions(trial.candidate_chunks, {"n": 0, "j1": 0}, 0)
+    ends = step_completions(chunk_ids(trial.candidate_chunks),
+                            {"n": 0, "j1": 0}, 0)
     assert ends == {"n": sec(3), "j1": sec(11)}
 
 
@@ -121,14 +135,14 @@ def test_trial_repair_splits_newcomer_around_deadline():
     q = VmQueue(0)
     admit(q, "j1", sec(10), 0, sec(12))
     q.advance(sec(2))
-    assert q.remaining_work("j1") == sec(8)
+    assert q.entry("j1").remaining == sec(8)
     trial = trial_insert(q, task_us("n", sec(3), arrival=sec(2)), sec(2), None)
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(2)), ("j1", sec(8)), ("n", sec(1)))
     assert trial.candidate_completion == sec(13)
     assert trial.repair_iterations == 1
-    ends = step_completions(trial.candidate_chunks, {"n": sec(2), "j1": 0},
-                            sec(2))
+    ends = step_completions(chunk_ids(trial.candidate_chunks),
+                            {"n": sec(2), "j1": 0}, sec(2))
     assert ends == {"n": sec(13), "j1": sec(12)}
     # growth: newcomer response 11s, j1 pushed from 10s to exactly its
     # deadline (+2s)
@@ -142,10 +156,11 @@ def test_trial_repair_respects_ready_gap():
     q = VmQueue(0)
     admit(q, "b", sec(6), 0, sec(13))
     trial = trial_insert(q, task_us("n", sec(5)), sec(6), None)
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(1)), ("b", sec(6)), ("n", sec(4)))
     assert trial.repair_iterations == 1
-    ends = step_completions(trial.candidate_chunks, {"n": sec(6), "b": 0}, 0)
+    ends = step_completions(chunk_ids(trial.candidate_chunks),
+                            {"n": sec(6), "b": 0}, 0)
     assert ends == {"n": sec(17), "b": sec(13)}  # b lands on its deadline
     assert trial.candidate_completion == sec(17)
     assert trial.delta_t == sec(24)  # 17s response + 7s inflicted on b
@@ -161,7 +176,7 @@ def test_trial_repair_evicts_whole_chunks_then_part_of_one():
     admit(q, "b", sec(6), 0, None)
     assert q.future_chunks == (("b", sec(6)), ("a", sec(9)))
     trial = trial_insert(q, task_us("n", sec(4)), sec(4), sec(9))
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(3)), ("a", sec(9)), ("n", sec(1)), ("b", sec(6)))
     assert trial.repair_iterations == 1
     ends = trial_ends(q, trial)
@@ -185,7 +200,7 @@ def test_trial_repair_slides_every_chunk_of_the_violator():
     assert q.future_chunks == (("b", sec(1)), ("a", sec(4)), ("b", sec(2)))
     trial = trial_insert(q, task_us("n", sec(2), arrival=sec(6)), sec(9),
                          sec(11))
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("b", sec(1)), ("a", sec(4)), ("b", sec(2)), ("n", sec(2)))
     assert trial.repair_iterations == 2
     assert trial.candidate_completion == sec(15)
@@ -199,9 +214,10 @@ def test_trial_falls_back_to_append_when_unrepairable():
     q = VmQueue(0)
     admit(q, "b", sec(6), 0, sec(12))
     trial = trial_insert(q, task_us("n", sec(5)), sec(6), None)
-    assert trial.candidate_chunks == (("b", sec(6)), ("n", sec(5)))
+    assert chunk_ids(trial.candidate_chunks) == (("b", sec(6)), ("n", sec(5)))
     assert trial.repair_iterations == 1
-    ends = step_completions(trial.candidate_chunks, {"n": sec(6), "b": 0}, 0)
+    ends = step_completions(chunk_ids(trial.candidate_chunks),
+                            {"n": sec(6), "b": 0}, 0)
     assert ends == {"b": sec(6), "n": sec(11)}
     assert trial.delta_t == sec(11)  # nobody else delayed
 
@@ -215,7 +231,7 @@ def test_trial_repair_checks_tasks_beyond_first_violator():
     admit(q, "m", sec(3), 0, sec(5))
     assert q.future_chunks == (("m", sec(3)), ("k", sec(10)))
     trial = trial_insert(q, task_us("n", sec(2)), 0, None)
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("m", sec(3)), ("k", sec(10)), ("n", sec(2)))
     assert trial.repair_iterations == 2
     ends = trial_ends(q, trial)
@@ -244,7 +260,7 @@ def test_late_own_deadline_is_reported_not_hidden():
     admit(q, "a", sec(10), 0, sec(10))
     trial = trial_insert(q, task_us("n", sec(4)), 0, sec(9))
     assert trial.candidate_completion == sec(14)
-    assert trial.candidate_completion > trial.deadline
+    assert trial.candidate_completion > trial.entry.deadline
 
 
 # ---------------------------------------------------------------- best_vm
@@ -318,7 +334,7 @@ def test_commit_applies_trial_exactly():
     admit(q, "a", sec(4), 0, None)
     trial = trial_insert(q, task_us("b", sec(2)), 0, None)
     commit(trial)
-    assert q.future_chunks == trial.candidate_chunks
+    assert q.future_chunks == chunk_ids(trial.candidate_chunks)
     assert q.entry("b").deadline is None
     assert q.entry("b").ready == 0
 
@@ -374,7 +390,7 @@ def test_advance_waits_for_ready_gate():
     q = VmQueue(0)
     admit(q, "a", sec(2), sec(2), None)
     q.advance(sec(3))
-    assert q.remaining_work("a") == sec(1)  # idle until 2s, ran 1s
+    assert q.entry("a").remaining == sec(1)  # idle until 2s, ran 1s
     assert q.entry("a").first_start == sec(2)
     assert q.entry("a").completion is None
     q.advance(sec(5))
@@ -411,8 +427,10 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
     itself meets its deadline.  Checks, per trial: growth equals direct
     summation over per-task delays, no queued task is pulled earlier, no
     queued deadline is violated, the trial's completion and growth match
-    the tick oracle's ends, and repair rounds stay bounded.  At the end,
-    every completed task met its deadline.
+    the tick oracle's ends, and repair rounds stay bounded.  After every
+    advance and commit, each chunk holds its task's entry and each entry's
+    remaining work is its future chunks' work.  At the end, every
+    completed task met its deadline.
     """
     rng = random.Random(seed)
     queues = [VmQueue(i) for i in range(n_vms)]
@@ -424,6 +442,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         for q in queues:
             q.advance(now)
             assert_totals(q, unit)
+            assert_entries(q)
         work = rng.randrange(1, 4000) * unit
         ready = now + rng.randrange(0, 400) * unit
         if rng.random() < 0.2:
@@ -461,16 +480,17 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
             if trial.repair_iterations == 0:
                 # plain SRTF placement: whoever got displaced had strictly
                 # more remaining work than the newcomer
-                chunks = list(trial.candidate_chunks)
+                chunks = chunk_ids(trial.candidate_chunks)
                 pos = next(j for j, (tid, _) in enumerate(chunks)
                            if tid == task.id)
                 if pos + 1 <= len(chunks) - 1 and chunks[-1][0] != task.id:
                     displaced = chunks[pos + 1][0]
-                    assert q.remaining_work(displaced) > work
+                    assert q.entry(displaced).remaining > work
 
         if deadline is None or chosen.candidate_completion <= deadline:
             commit(chosen)
             assert_totals(queues[vm], unit)
+            assert_entries(queues[vm])
             if deadline is not None:
                 deadlines[task.id] = (vm, deadline)
             admitted += 1
@@ -480,6 +500,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         q.advance(horizon)
         assert q.load(q.now) == 0
         assert_totals(q, unit)
+        assert_entries(q)
     for tid, (vm, limit) in deadlines.items():
         done = queues[vm].entry(tid).completion
         assert done is not None
@@ -626,7 +647,7 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     admit(q, "j1", sec(5), 0, sec(10))
     calls[0] = 0
     trial = trial_insert(q, task_us("n", sec(2)), 0, None)
-    assert trial.candidate_chunks == (
+    assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(1)), ("j0", sec(4)), ("j1", sec(5)), ("n", sec(1)))
     assert trial.repair_iterations == 2
     assert calls[0] == 4
@@ -634,7 +655,7 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     assert q.horizon() == sec(9)  # the commits left the tail known
     calls[0] = 0
     trial = trial_insert(q, task_us("m", sec(20)), 0, None)
-    assert trial.candidate_chunks[-1] == ("m", sec(20))
+    assert chunk_ids(trial.candidate_chunks)[-1] == ("m", sec(20))
     assert trial.candidate_completion == sec(29)
     assert calls[0] == 0
 
@@ -644,6 +665,6 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     assert q.horizon() == sec(6)
     calls[0] = 0
     trial = trial_insert(q, task_us("n", sec(5)), sec(6), None)
-    assert trial.candidate_chunks == (("b", sec(6)), ("n", sec(5)))
+    assert chunk_ids(trial.candidate_chunks) == (("b", sec(6)), ("n", sec(5)))
     assert trial.repair_iterations == 1
     assert calls[0] == 1

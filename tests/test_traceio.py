@@ -105,6 +105,18 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(load(path).tasks) == 2
 
 
+def test_load_reads_raw_utf8_whatever_the_locale(tmp_path):
+    # save() writes ASCII escapes, but a hand-written trace may hold the
+    # character itself; load() decodes UTF-8 even under an ASCII locale
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(
+        b'{"schema":"echo-sched-trace/1"}\n'
+        b'{"app":"ocr","arrival":0,"id":"caf\xc3\xa9","offloadable":true,'
+        b'"profile":{"down_cloud":1,"down_edge":1,"r_cloud":1,"r_edge":1,'
+        b'"r_mobile":1,"up_cloud":1,"up_edge":1},"user_id":"u"}\n')
+    assert load(path).tasks[0].id == "caf\u00e9"
+
+
 def reference_lines(trace: TraceFile) -> str:
     header = {"schema": SCHEMA, **trace.header}
     rows = [header] + [dataclasses.asdict(t) for t in trace.tasks]

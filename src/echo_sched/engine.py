@@ -86,7 +86,8 @@ def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
 def _distort(duration: int, key: str, seed: int, magnitude: float) -> int:
     """Deterministically mis-estimate a duration by up to +/- magnitude."""
     from zlib import crc32
-    h = crc32(key.encode()) ^ (seed * 0x9E3779B1 & 0xFFFFFFFF)
+    h = crc32(key.encode(errors="surrogatepass"))  # lone surrogates too
+    h ^= seed * 0x9E3779B1 & 0xFFFFFFFF
     unit = (h % 10_000) / 10_000.0            # [0, 1)
     factor = 1.0 + magnitude * (2.0 * unit - 1.0)
     distorted = round(duration * factor)

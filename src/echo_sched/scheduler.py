@@ -6,9 +6,11 @@ the first queued task whose remaining work exceeds the newcomer's work
 pushes any already-admitted task past its completion deadline, the repair
 loop pins that task to finish exactly at its deadline by evicting
 just-enough of the work scheduled before it (latest-scheduled work first)
-and re-inserting the evicted work after it.  The loop repeats down the
-queue until no admitted task is late.  Trials are pure; a separate commit
-step makes the winning candidate real.
+and re-inserting the evicted work after it; a whole chunk goes only when
+a partial take cannot land the task, and if no amount can, the newcomer
+is appended at the tail instead.  The loop repeats down the queue until
+no admitted task is late.  Trials are pure; a separate commit step makes
+the winning candidate real.
 
 Time is integer microseconds throughout.  A queue's schedule is packed
 contiguously from `now`, except that a task's work may never start before
@@ -315,18 +317,25 @@ def _repair(original: list[tuple[TaskEntry, int]],
                        dict[TaskEntry, int] | None, int, int]:
     """Insert the newcomer's entry at insert_at and repair deadline violations.
 
-    Each round packs the candidate once, finds the first admitted task
-    past its deadline (in queue order), pins it to finish exactly at its
-    deadline by evicting just-enough of the latest-scheduled movable work
-    before its final chunk, and carries the evicted work forward as the
-    next round's insertion.  Pinned tasks and the violator's own chunks
-    are never evicted, so a pinned task can only ever finish earlier, and
-    every round pins a distinct one of the `admitted` tasks: the loop
-    terminates.  Returns
-    (candidate, task ends, tail, rounds) from the final round's pack, tail
-    being its last chunk's end, or (None, None, 0, rounds) when a round has
-    nothing movable left to evict or no eviction amount lands the violator
-    exactly on its deadline; the caller falls back to a tail append then.
+    Each round packs the candidate once, finds the first admitted task past
+    its deadline (in queue order), the violator, and walks back over the
+    movable chunks before its last chunk: those at or above the floor that
+    are not its own.  For a source chunk of work w, `take` is the source's
+    end plus the violator's work after it, minus its deadline.  If take < w,
+    evicting `take` from the source lands the violator on its deadline.
+    Else the whole chunk goes if the violator then ends at or after its
+    deadline (the walk goes on while it is late), and else no amount lands
+    it there: the round fails.  The evicted work, in queue order, is the
+    next round's insertion right after the violator, at the new floor.
+    Returns (candidate, task ends, tail, rounds) from the final round's
+    pack, tail being its last chunk's end, or (None, None, 0, rounds) when a
+    round fails; the caller falls back to a tail append then.
+
+    A round's violator ends on its deadline with every chunk of it below
+    the new floor.  Later rounds insert and evict only at or above the
+    floor, and the packing below it depends only on the chunks there, so
+    that task is never late again: each round has a distinct one of the
+    `admitted` tasks as its violator, and the loop terminates.
 
     Invariant: every committed task's pre-trial end is at or before its
     deadline.  commit() refuses a late newcomer, repair pins each violator
@@ -335,17 +344,14 @@ def _repair(original: list[tuple[TaskEntry, int]],
     its ready time: then no chunk of it could sit before the source, and
     it would end at its ready time plus its remaining work, by its
     pre-trial end, and be on time.  The chain starts at the source's end,
-    so a partial eviction takes more than nothing; the walk asserts it.
+    so evicting take > 0 pulls the violator in by take; the walk asserts it.
     """
     candidate = list(original)
     pending = [(new, new.remaining)]
     position = insert_at
-    # Work at chunk indexes below the floor is frozen: it belongs to tasks
-    # already pinned at their deadlines (or scheduled before them), and
-    # moving any of it would push a pinned task past its deadline or pull
-    # other tasks ahead of their pre-insertion completions.
+    # Chunks below the floor are frozen: moving one could make an earlier
+    # round's violator late again, or pull a task ahead of its old end.
     floor = 0
-    pinned: set[TaskEntry] = set()
     rounds = 0
     guard = admitted + _REPAIR_SLACK
     while True:
@@ -357,7 +363,7 @@ def _repair(original: list[tuple[TaskEntry, int]],
         # chunk lies far past the round's violator, and an earlier round's
         # break must not hide it.
         for violator, _ in candidate:
-            if violator is new or violator in pinned:
+            if violator is new:
                 continue
             limit = violator.deadline
             if limit is not None and ends[violator] > limit:
@@ -366,15 +372,14 @@ def _repair(original: list[tuple[TaskEntry, int]],
             return candidate, ends, chunk_ends[-1], rounds
         rounds += 1
         if rounds > guard:
-            # Each round pins a distinct admitted task, so the rounds are
-            # bounded by the task count; more means the pinning broke.
+            # Each round has a distinct admitted violator, so the rounds
+            # are bounded by the task count; more means the floor broke.
             raise SchedulerError(
                 f"repair loop exceeded {guard} rounds on vm {vm_index}")
         ready_v = violator.ready
-        end = ends[violator]
         # Every chunk has positive work, so chunk ends strictly increase and
         # the violator's last chunk is the one that ends at its task end.
-        last = bisect_left(chunk_ends, end)
+        last = bisect_left(chunk_ends, ends[violator])
         # The walk evicts only at or after its source, which only moves
         # backwards, so the round's chunk ends stay exact below the source.
         # `tail` is the violator's work from the source's successor to
@@ -383,39 +388,32 @@ def _repair(original: list[tuple[TaskEntry, int]],
         tail = candidate[last][1]
         evicted: list[tuple[TaskEntry, int]] = []
         source = last - 1
-        while end > limit:
+        while True:
             while source >= floor and candidate[source][0] is violator:
                 tail += candidate[source][1]
                 source -= 1
             if source < floor:
                 return None, None, 0, rounds
             entry, w = candidate[source]
-            # Shrinking the source by `take` moves the violator's end
-            # earlier by exactly min(take, source_end - ready_v): the
-            # violator's ready time caps how far its chain can slide.
+            assert ready_v < chunk_ends[source], (
+                f"{violator.id!r} gated at its ready time on vm {vm_index}: "
+                f"it was already late")
+            take = chunk_ends[source] + tail - limit
+            if take < w:
+                candidate[source] = (entry, w - take)
+                evicted.append((entry, take))
+                break
             before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
-            assert full_end < end, (f"{violator.id!r} gated at its ready time "
-                                    f"on vm {vm_index}: it was already late")
-            if full_end >= limit:
-                del candidate[source]
-                evicted.append((entry, w))
-                last -= 1
-                source -= 1
-                end = full_end
-                continue
-            # A partial eviction lands the violator exactly on its
-            # deadline; removing the whole chunk would also collapse the
-            # idle gap in front of it and overshoot the correction.
-            take = chunk_ends[source] - (limit - tail)
-            if take >= w:
+            if full_end < limit:
                 return None, None, 0, rounds
-            candidate[source] = (entry, w - take)
-            evicted.append((entry, take))
-            break
-        pinned.add(violator)
-        evicted.reverse()
-        pending = _merge_adjacent(evicted)
+            del candidate[source]
+            evicted.append((entry, w))
+            last -= 1
+            source -= 1
+            if full_end == limit:
+                break
+        pending = _merge_adjacent(evicted[::-1])
         floor = position = last + 1
 
 

@@ -9,6 +9,10 @@ step_oracle_run() does the same for a whole simulation: it drives run()
 with a policy wrapper that ticks every VM between arrivals, then asserts
 that each edge record's realized times equal the ticked ones.
 
+reference_trial() is what trial_insert() should return, re-derived from
+the scheduler's module docstring by evicting one µs of work at a time and
+re-packing after every µs, never using the scheduler's repair arithmetic.
+
 edge_ready() and DEFAULTS are the ready instant and the config that
 run() would pass to a policy's decide(), for tests that call it directly.
 
@@ -114,6 +118,92 @@ def step_completions(chunks, ready, now, dt=1000):
             left -= dt
         ends[tid] = t
     return ends
+
+
+def _packed_ends(chunks, info, now):
+    """Chunk ends and task ends of chunks packed from `now`: a chunk starts
+    at its task's ready time or at the previous chunk's end, if later."""
+    chunk_ends, task_ends = [], {}
+    t = now
+    for tid, work in chunks:
+        t = max(t, info[tid][0]) + work
+        chunk_ends.append(t)
+        task_ends[tid] = t
+    return chunk_ends, task_ends
+
+
+def _merged(chunks):
+    merged: list[list] = []
+    for tid, work in chunks:
+        if merged and merged[-1][0] == tid:
+            merged[-1][1] += work
+        else:
+            merged.append([tid, work])
+    return merged
+
+
+def reference_trial(queue, task, ready, deadline):
+    """(chunk ids, completion, tail, delta_t) of trial_insert(queue, ...).
+
+    The newcomer goes ahead of the first queued task with more remaining
+    work.  Then, while an admitted task other than the newcomer is past
+    its deadline, the first such task in queue order, the violator, has
+    work evicted one µs at a time, always the last µs of the latest
+    chunk before its last chunk that is neither its own nor below the
+    floor, re-packing after every µs, until it ends exactly on its
+    deadline.  The evicted work goes in queue order right after the
+    violator, where the next floor starts.  If nothing is left to evict,
+    or the violator ends before its deadline, the newcomer is appended at
+    the tail instead, delaying nobody.
+    """
+    now, work = queue.now, task.profile.r_edge
+    chunks = [[tid, w] for tid, w in queue.future_chunks]
+    info = {tid: (queue.entry(tid).ready, queue.entry(tid).deadline)
+            for tid, _ in chunks}
+    info[task.id] = (ready, deadline)
+    remaining: dict[str, int] = {}
+    for tid, w in chunks:
+        remaining[tid] = remaining.get(tid, 0) + w
+    old_chunk_ends, old_ends = _packed_ends(chunks, info, now)
+    end = max(ready, old_chunk_ends[-1] if chunks else now) + work
+    appended = ((*map(tuple, chunks), (task.id, work)), end, end,
+                end - task.arrival)
+    at = next((i for i, (tid, _) in enumerate(chunks)
+               if remaining[tid] > work), None)
+    if at is None:
+        return appended
+    candidate = chunks[:at] + [[task.id, work]] + chunks[at:]
+    floor = 0
+    while True:
+        chunk_ends, ends = _packed_ends(candidate, info, now)
+        late = [tid for tid, _ in candidate if tid != task.id
+                and info[tid][1] is not None and ends[tid] > info[tid][1]]
+        if not late:
+            break
+        violator, limit = late[0], info[late[0]][1]
+        last = max(i for i, (tid, _) in enumerate(candidate)
+                   if tid == violator)
+        evicted: list[str] = []  # one task id per µs, latest first
+        while ends[violator] > limit:
+            movable = [i for i in range(floor, last)
+                       if candidate[i][0] != violator]
+            if not movable:
+                return appended
+            source = candidate[movable[-1]]
+            source[1] -= 1
+            evicted.append(source[0])
+            if not source[1]:
+                del candidate[movable[-1]]
+                last -= 1
+            _, ends = _packed_ends(candidate, info, now)
+        if ends[violator] < limit:
+            return appended
+        floor = last + 1
+        candidate[floor:floor] = _merged((tid, 1) for tid in reversed(evicted))
+    candidate = _merged(candidate)
+    delay = sum(ends[tid] - old for tid, old in old_ends.items())
+    return (tuple(map(tuple, candidate)), ends[task.id], chunk_ends[-1],
+            ends[task.id] - task.arrival + delay)
 
 
 class _SteppedVm:

@@ -139,6 +139,23 @@ def test_simulate_writes_non_ascii_and_lone_surrogate_ids(tmp_path):
     assert [row[0] for row in rows[1:]] == ["\\ud800", "\u00e9"]
 
 
+def test_simulate_with_estimate_noise_takes_a_lone_surrogate_id(tmp_path):
+    # estimate noise is keyed on the task id; a lone surrogate id once
+    # made `simulate --estimate-noise 0.3` exit 2, though noise 0 ran
+    trace = make_trace(tmp_path, n=2)
+    lines = trace.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["id"] = "\ud800"
+    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                     "--vms", 1, "--estimate-noise", 0.3,
+                     "--out", tmp_path / "out", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    data = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert data["tasks"][0]["task_id"] == "\ud800"
+
+
 def test_simulate_rejects_misspelled_trace_keys(tmp_path):
     # "offloadble": false once offloaded a task pinned to the device, and
     # "upload_byte" loaded as 0 bytes

@@ -40,6 +40,11 @@ decide that runs best_vm for every offloadable arrival.
 quotes, backslashes, CR/LF, U+2028, lone surrogates) and non-negative
 ints, each task line save() writes equals json.dumps of
 dataclasses.asdict(task), and write_json equals json.dumps of to_dict().
+
+(k) trial_insert picks the schedule its docstrings state: on random
+single-queue sessions of appends, trials, commits and advances with
+times of a few µs, each trial's chunks, completion, tail and growth equal
+conftest's reference_trial, which evicts one µs at a time.
 """
 
 import copy
@@ -57,8 +62,8 @@ from echo_sched.scheduler import (LateTrialError, VmQueue, best_vm, commit,
                                   trial_insert)
 from echo_sched.sim import SimConfig, SimReport, TaskRecord, run
 from echo_sched.traceio import TraceFile, save
-from conftest import (_SteppedVm, chunk_ids, step_completions,
-                      step_oracle_run)
+from conftest import (_SteppedVm, chunk_ids, reference_trial,
+                      step_completions, step_oracle_run)
 
 MS = 1000
 
@@ -444,3 +449,50 @@ def test_writers_equal_the_json_references(tasks, records, tmp_path_factory):
     report.write_json(path)
     assert path.read_text() == json.dumps(report.to_dict(), sort_keys=True,
                                           indent=2) + "\n"
+
+
+@st.composite
+def repair_sessions(draw):
+    """Up to 30 ops on one queue with times of a few µs: best-effort
+    appends, advances, and twice as many trials, with a deadline or none,
+    committed or dropped.  Ready offsets open idle gaps, and zero slack is
+    drawn often, so repairs split chunks, evict whole ones, tie and fail."""
+    work, offset = st.integers(1, 9), st.integers(0, 9)
+    slack = st.one_of(st.none(), st.just(0), st.integers(0, 12))
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("fifo", "trial", "trial", "advance")))
+        if kind == "advance":
+            ops.append((kind, draw(st.integers(0, 9))))
+        elif kind == "fifo":
+            ops.append((kind, draw(work), draw(offset)))
+        else:
+            ops.append((kind, draw(work), draw(offset), draw(slack),
+                        draw(st.booleans())))
+    return ops
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(ops=repair_sessions())
+def test_trials_equal_the_unit_step_reference(ops):
+    queue = VmQueue(0)
+    for i, (kind, *args) in enumerate(ops):
+        now = queue.now
+        if kind == "advance":
+            queue.advance(now + args[0])
+            continue
+        work, ready = args[0], now + args[1]
+        task = Task(id=f"t{i}", user_id="u", app="x", arrival=now,
+                    profile=CostProfile(0, work, 0, 0, 0, 0, 0))
+        if kind == "fifo":
+            queue.append_fifo(task, ready)
+            continue
+        slack, keep = args[2:]
+        deadline = None if slack is None else ready + work + slack
+        expected = reference_trial(queue, task, ready, deadline)
+        trial = trial_insert(queue, task, ready, deadline)
+        assert (chunk_ids(trial.candidate_chunks), trial.candidate_completion,
+                trial.tail, trial.delta_t) == expected, i
+        if keep and (deadline is None
+                     or trial.candidate_completion <= deadline):
+            commit(trial)

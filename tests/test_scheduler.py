@@ -185,6 +185,26 @@ def test_trial_repair_evicts_whole_chunks_then_part_of_one():
     assert trial.delta_t == sec(35)  # 17s response + 1s on a + 17s on b
 
 
+def test_trial_repair_takes_part_of_a_chunk_when_the_whole_also_lands():
+    # t1 (8s, ready at 2s, due 10s) runs ahead of t2 (9s, due 19s).  A 5s
+    # newcomer ready at 0 goes first and pushes t1 to 13s.  Evicting all
+    # of t3 would also land t1 on 10s, since t1 waits for its ready time,
+    # but 3s are just enough: t3's other 2s run in the gap before t1.
+    # Round two moves those 3s behind t2, which ends exactly on 19s.
+    q = VmQueue(0)
+    admit(q, "t2", sec(9), 0, sec(19))
+    admit(q, "t1", sec(8), sec(2), sec(10))
+    assert q.future_chunks == (("t1", sec(8)), ("t2", sec(9)))
+    trial = trial_insert(q, task_us("t3", sec(5)), 0, sec(20))
+    assert chunk_ids(trial.candidate_chunks) == (
+        ("t3", sec(2)), ("t1", sec(8)), ("t2", sec(9)), ("t3", sec(3)))
+    assert trial.repair_iterations == 2
+    assert trial_ends(q, trial) == {"t3": sec(22), "t1": sec(10),
+                                    "t2": sec(19)}
+    assert trial.candidate_completion == sec(22)
+    assert trial.delta_t == sec(22)  # nobody else delayed
+
+
 def test_trial_repair_slides_every_chunk_of_the_violator():
     # b is split around a: (b 1s, a 4s, b 2s) at 6s.  A 2s newcomer ready
     # at 9s goes first, and b, the first late task, ends at 18s, not 13s.

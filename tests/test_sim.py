@@ -193,6 +193,18 @@ def test_noisy_estimates_still_meet_shifted_deadlines():
     assert a.aggregates["deadline_compliance"] == 1.0
 
 
+def test_noisy_estimates_key_lone_surrogate_ids():
+    # The noise is keyed on the task id, and an id may hold a lone
+    # surrogate, which strict UTF-8 cannot encode: a noisy run once raised
+    # UnicodeEncodeError on it, while a run without noise went through.
+    tasks = [mk_task("\ud800"), mk_task("\u00e9", arrival=1.0)]
+    for noise in (0.0, 0.3):
+        config = SimConfig(num_vms=1, estimate_noise=noise)
+        report = run(tasks, "echo", config)
+        assert [r.task_id for r in report.records] == ["\ud800", "\u00e9"]
+        assert report.to_dict() == run(tasks, "echo", config).to_dict()
+
+
 def test_policy_object_runs_with_the_config_settings():
     # A policy object once held its own copy of the provision delay and
     # the estimate noise, so a run given an object ran without the config's

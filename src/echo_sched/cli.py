@@ -28,8 +28,6 @@ from .model import TraceError, from_seconds
 from .policies import POLICY_NAMES
 from .sim import SimConfig, SimReport
 
-logger = logging.getLogger(__name__)
-
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()

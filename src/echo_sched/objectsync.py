@@ -160,18 +160,20 @@ class TaskObjectSet:
             raise ValueError("duplicate object_id in task object set")
 
 
+def _proxy_first(objects: int, proxy_header: int, shipped: int) -> int:
+    """The proxy rule: one header per object, plus the payload that ships."""
+    return objects * proxy_header + shipped
+
+
 def lazy_bytes(obj_set: TaskObjectSet, proxy_header: int) -> tuple[int, tuple[str, ...]]:
     """Bytes to transmit the set proxy-first: every object costs one proxy
     header, and only referred objects ship their payload."""
     if proxy_header <= 0:
         raise ValueError("proxy_header must be positive")
-    total = proxy_header * len(obj_set.objects)
-    transmitted: list[str] = []
-    for record, referred in obj_set.objects:
-        if referred:
-            total += len(record.payload)
-            transmitted.append(record.object_id)
-    return total, tuple(transmitted)
+    shipped = [record for record, referred in obj_set.objects if referred]
+    total = _proxy_first(len(obj_set.objects), proxy_header,
+                         sum(len(record.payload) for record in shipped))
+    return total, tuple(record.object_id for record in shipped)
 
 
 def eager_bytes(obj_set: TaskObjectSet) -> int:
@@ -247,7 +249,6 @@ class TransferAccountant:
         args = int(profile.upload_bytes * p.args_share)
         resource = profile.upload_bytes - args
         referred = int(resource * p.referred_share)
-        proxies = p.objects_per_task * p.proxy_header
 
         if referred == 0:
             state_cost = 0
@@ -255,7 +256,8 @@ class TransferAccountant:
             state_cost = int(referred * p.change_fraction) + DELTA_HEADER_BUDGET
         else:
             state_cost = referred
-        up_bytes = args + proxies + state_cost
+        up_bytes = _proxy_first(p.objects_per_task, p.proxy_header,
+                                args + state_cost)
         up_us = profile.up_edge
         if profile.upload_bytes > 0:
             up_us = round(up_us * up_bytes / profile.upload_bytes)

@@ -15,9 +15,9 @@ the winning candidate real.
 Time is integer microseconds throughout.  A queue's schedule is packed
 contiguously from `now`, except that a task's work may never start before
 its ready time (its input upload has to finish first), which can leave the
-VM idle ahead of an unready head-of-queue.  A queue exposes its pending
-chunks in order and each task's ready time and deadline, so any
-schedule's ends follow from them by that packing rule.
+VM idle ahead of an unready head-of-queue.  Any schedule's ends follow
+from its chunk order and ready times by that packing rule; each queued
+task stores its end under the committed schedule.
 """
 
 from __future__ import annotations
@@ -48,12 +48,13 @@ class LateTrialError(SchedulerError):
 class TaskEntry:
     """Mutable bookkeeping for one task on a VM queue; its chunks hold it.
 
-    advance() lowers `remaining`, the chunks' total work, and sets
-    `completion` when it reaches 0.
+    `end` is the task's execution end under the queue's committed
+    schedule.  The append or trial that places the task sets it, commit()
+    stores a repair's new ends, and advance() moves none; once it has
+    lowered `remaining`, the chunks' total work, to 0, the task is done.
     """
 
-    __slots__ = ("id", "ready", "deadline", "remaining", "first_start",
-                 "completion")
+    __slots__ = ("id", "ready", "deadline", "remaining", "first_start", "end")
 
     def __init__(self, id: str, ready: int, deadline: int | None,
                  remaining: int):
@@ -62,7 +63,7 @@ class TaskEntry:
         self.deadline = deadline          # latest allowed execution end; None = best effort
         self.remaining = remaining
         self.first_start: int | None = None
-        self.completion: int | None = None  # execution end, set once the last chunk runs
+        self.end: int  # set by the append or trial that places the task
 
 
 class VmQueue:
@@ -71,25 +72,14 @@ class VmQueue:
     `_chunks` holds only future work as (entry, work) pairs in queue
     order, the entry being the TaskEntry that `_entries` maps the task id
     to; advance() drops the elapsed part of a preempted or running task,
-    which can never be displaced.  Running values spare load() and
-    horizon() a walk over the queue: `_pending` is the chunks' total work,
-    `_tail` the packed end of the last chunk, and `_gap_end` an instant by
-    which every idle gap of the packed schedule has ended (gaps only open
-    ahead of an unready chunk, so they end at ready times).  advance()
-    keeps `_tail` valid because it executes the packing rule itself (on an
-    emptied queue it is at most `now`), append_fifo() extends it in O(1),
-    and commit() takes it from the trial, which has priced the new
-    schedule anyway.  append_fifo() opens a gap only when its task is
-    ready after the horizon, and then moves `_gap_end` to that ready time;
-    commit() moves it to the new tail, a safe bound.  Past `_gap_end` the
-    VM is busy without a break up to `_tail`, so load() reads the pending
-    work off the tail without advancing.  The same tail prices
-    trial_insert()'s tail append, so a trial that preempts nobody packs
-    nothing.
+    which can never be displaced.  `_pending` is the chunks' total work.
+    The tail, the end of the last chunk, is its entry's stored `end`, so
+    horizon(), load() and trial_insert()'s tail append read it without a
+    walk over the queue, and a trial that preempts nobody packs nothing.
     """
 
     __slots__ = ("vm_index", "now", "version", "_chunks", "_entries",
-                 "_pending", "_tail", "_gap_end")
+                 "_pending")
 
     def __init__(self, vm_index: int, now: int = 0):
         self.vm_index = vm_index
@@ -98,20 +88,25 @@ class VmQueue:
         self._chunks: list[tuple[TaskEntry, int]] = []
         self._entries: dict[str, TaskEntry] = {}
         self._pending = 0
-        self._tail = self._gap_end = now
 
     # ------------------------------------------------------------- queries
 
     def load(self, at: int) -> int:
         """Pending work once the schedule has run to `at` (at >= now).
 
-        Used by best-effort least-loaded placement.  Advances the queue to
-        `at` only when an idle gap may still lie ahead of it.
+        Used by best-effort least-loaded placement.  From `now` to the
+        tail the VM is busy for `_pending` of the time, so when the two
+        are equal the schedule has no idle gap and the load is what is
+        left of it at `at`.  Otherwise the queue advances to `at`.
         """
-        if at < self._gap_end or at < self.now:
+        chunks = self._chunks
+        now = self.now
+        # horizon() inline: this is mcloud's per-VM path on every arrival.
+        tail = chunks[-1][0].end if chunks else now
+        if at < now or tail - now != self._pending:
             self.advance(at)
             return self._pending
-        return self._tail - at if self._tail > at else 0
+        return tail - at if tail > at else 0
 
     @property
     def future_chunks(self) -> tuple[tuple[str, int], ...]:
@@ -124,7 +119,8 @@ class VmQueue:
 
     def horizon(self) -> int:
         """Time by which all currently queued work will have executed."""
-        return self._tail if self._tail > self.now else self.now
+        chunks = self._chunks
+        return chunks[-1][0].end if chunks else self.now
 
     # ----------------------------------------------------------- mutations
 
@@ -149,8 +145,6 @@ class VmQueue:
                 entry.remaining -= w
                 executed += w
                 consumed += 1
-                if not entry.remaining:
-                    entry.completion = cursor
             else:
                 run = to - start
                 entry.remaining -= run
@@ -174,14 +168,12 @@ class VmQueue:
         work = task.profile.r_edge
         horizon = self.horizon()
         entry = TaskEntry(task.id, ready, None, work)
+        entry.end = (ready if ready > horizon else horizon) + work
         self._entries[task.id] = entry
         self._chunks.append((entry, work))
         self._pending += work
-        if ready > horizon:
-            self._gap_end = horizon = ready
-        self._tail = horizon + work
         self.version += 1
-        return self._tail
+        return entry.end
 
 
 def _pack(chunks: list[tuple[TaskEntry, int]], now: int
@@ -220,15 +212,17 @@ class TrialInsertion:
     """Outcome of tentatively inserting one task into one VM's queue.
 
     delta_t is the completion-time growth: the newcomer's response time
-    plus every delay inflicted on already-queued tasks; tail is the packed
-    end of the candidate's last chunk; entry is the newcomer's TaskEntry,
-    which commit() installs.  The trial never mutates the source queue.
+    plus every delay inflicted on already-queued tasks.  entry is the
+    newcomer's TaskEntry, its `end` already set, which commit() installs.
+    ends maps every entry of a repaired candidate to its end under it, for
+    commit() to store; a tail append moves no queued end, so its ends are
+    empty.  The trial never mutates the source queue.
     """
 
     vm_index: int
     delta_t: int
     candidate_completion: int
-    tail: int
+    ends: dict[TaskEntry, int]
     repair_iterations: int
     candidate_chunks: tuple[tuple[TaskEntry, int], ...]
     entry: TaskEntry
@@ -266,9 +260,9 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
             break
 
     repair_iterations = 0
-    candidate = new_ends = None
+    candidate = None
     if insert_at is not None:
-        candidate, new_ends, tail, repair_iterations = _repair(
+        candidate, ends, repair_iterations = _repair(
             original, now, new, insert_at, len(entries), queue.vm_index)
     delay = 0
     if candidate is None:
@@ -276,14 +270,16 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
         # append delays nobody and is therefore always admissible.
         candidate_chunks = (*original, (new, work))
         horizon = queue.horizon()
-        completion = tail = (ready if ready > horizon else horizon) + work
+        new.end = completion = (ready if ready > horizon else horizon) + work
+        ends = {}
     else:
         # Every chunk has positive work, so merging adjacent chunks of one
         # task moves no end: the repair's task ends price the merged list.
         candidate_chunks = tuple(_merge_adjacent(candidate))
-        _, old_ends = _pack(original, now)
-        for entry, end in old_ends.items():
-            inflicted = new_ends[entry] - end
+        # A delay is a new end minus the stored one; the newcomer's is 0.
+        new.end = completion = ends[new]
+        for entry, end in ends.items():
+            inflicted = end - entry.end
             if inflicted < 0:
                 # The newcomer only adds work ahead of queued tasks, and repair
                 # pins a violator at its deadline, at or after its old end.
@@ -291,14 +287,13 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
                     f"insertion of {task.id!r} pulled {entry.id!r} earlier on "
                     f"vm {queue.vm_index}; schedule corrupted")
             delay += inflicted
-        completion = new_ends[new]
     delta_t = (completion - task.arrival) + delay
 
     return TrialInsertion(
         vm_index=queue.vm_index,
         delta_t=delta_t,
         candidate_completion=completion,
-        tail=tail,
+        ends=ends,
         repair_iterations=repair_iterations,
         candidate_chunks=candidate_chunks,
         entry=new,
@@ -314,7 +309,7 @@ def _repair(original: list[tuple[TaskEntry, int]],
             admitted: int,
             vm_index: int
             ) -> tuple[list[tuple[TaskEntry, int]] | None,
-                       dict[TaskEntry, int] | None, int, int]:
+                       dict[TaskEntry, int] | None, int]:
     """Insert the newcomer's entry at insert_at and repair deadline violations.
 
     Each round packs the candidate once, finds the first admitted task past
@@ -327,9 +322,9 @@ def _repair(original: list[tuple[TaskEntry, int]],
     deadline (the walk goes on while it is late), and else no amount lands
     it there: the round fails.  The evicted work, in queue order, is the
     next round's insertion right after the violator, at the new floor.
-    Returns (candidate, task ends, tail, rounds) from the final round's
-    pack, tail being its last chunk's end, or (None, None, 0, rounds) when a
-    round fails; the caller falls back to a tail append then.
+    Returns (candidate, task ends, rounds), the ends from the final
+    round's pack, or (None, None, rounds) when a round fails; the caller
+    falls back to a tail append then.
 
     A round's violator ends on its deadline with every chunk of it below
     the new floor.  Later rounds insert and evict only at or above the
@@ -337,14 +332,15 @@ def _repair(original: list[tuple[TaskEntry, int]],
     that task is never late again: each round has a distinct one of the
     `admitted` tasks as its violator, and the loop terminates.
 
-    Invariant: every committed task's pre-trial end is at or before its
-    deadline.  commit() refuses a late newcomer, repair pins each violator
-    at its deadline, and tail appends and advance() move no end.  So the
-    violator's chain, its chunks after the walk's source, never waits for
-    its ready time: then no chunk of it could sit before the source, and
-    it would end at its ready time plus its remaining work, by its
-    pre-trial end, and be on time.  The chain starts at the source's end,
-    so evicting take > 0 pulls the violator in by take; the walk asserts it.
+    Invariant: every queued entry's stored `end` is at or before its
+    deadline.  commit() refuses a late newcomer and stores a repair's
+    ends, each violator pinned at its deadline, and tail appends and
+    advance() move no end.  So the violator's chain, its chunks after the
+    walk's source, never waits for its ready time: then no chunk of it
+    could sit before the source, and it would end at its ready time plus
+    its remaining work, by its stored end, and be on time.  The chain
+    starts at the source's end, so evicting take > 0 pulls the violator
+    in by take; the walk asserts it.
     """
     candidate = list(original)
     pending = [(new, new.remaining)]
@@ -369,7 +365,7 @@ def _repair(original: list[tuple[TaskEntry, int]],
             if limit is not None and ends[violator] > limit:
                 break
         else:
-            return candidate, ends, chunk_ends[-1], rounds
+            return candidate, ends, rounds
         rounds += 1
         if rounds > guard:
             # Each round has a distinct admitted violator, so the rounds
@@ -393,7 +389,7 @@ def _repair(original: list[tuple[TaskEntry, int]],
                 tail += candidate[source][1]
                 source -= 1
             if source < floor:
-                return None, None, 0, rounds
+                return None, None, rounds
             entry, w = candidate[source]
             assert ready_v < chunk_ends[source], (
                 f"{violator.id!r} gated at its ready time on vm {vm_index}: "
@@ -406,7 +402,7 @@ def _repair(original: list[tuple[TaskEntry, int]],
             before = chunk_ends[source - 1] if source > 0 else now
             full_end = max(before, ready_v) + tail
             if full_end < limit:
-                return None, None, 0, rounds
+                return None, None, rounds
             del candidate[source]
             evicted.append((entry, w))
             last -= 1
@@ -440,7 +436,8 @@ def best_vm(queues: list[VmQueue], task: Task, ready: int,
 
 
 def commit(trial: TrialInsertion) -> None:
-    """Make a trial real on the queue it was computed against.
+    """Make a trial real on the queue it was computed against, storing
+    its ends on the entries.
 
     Refuses trials computed against a stale queue, and trials whose
     newcomer would end past its own deadline: repair pins every admitted
@@ -459,7 +456,8 @@ def commit(trial: TrialInsertion) -> None:
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[entry.id] = entry
     queue._pending += entry.remaining
-    queue._tail = queue._gap_end = trial.tail
+    for queued, end in trial.ends.items():
+        queued.end = end
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
                  queue.vm_index, entry.id, trial.candidate_completion,

@@ -353,10 +353,10 @@ def _realize(task: Task, decision: Decision, cost: TransferCost,
         entry = queues[vm_index].entry(task.id)
         ready = entry.ready
         start = entry.first_start
-        exec_end = entry.completion
-        if start is None or exec_end is None:
+        if start is None or entry.remaining:
             # run() drains every queue to its horizon before realizing.
             raise SimError(f"edge task {task.id!r} never finished executing")
+        exec_end = entry.end
         completion = exec_end + p.down_edge
         waiting = exec_end - ready - p.r_edge
     deadline = decision.deadline

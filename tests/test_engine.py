@@ -228,8 +228,9 @@ def test_edge_admissions_always_meet_their_deadline():
     for q in queues:
         q.advance(horizon)
     for task, decision in placed:
-        exec_end = queues[decision.vm_index].entry(task.id).completion
-        assert exec_end is not None
+        entry = queues[decision.vm_index].entry(task.id)
+        assert entry.remaining == 0
+        exec_end = entry.end
         # later preemptions may push the task back, but never past the bound
         completion = exec_end + task.profile.down_edge
         assert completion >= decision.predicted_completion

@@ -593,6 +593,35 @@ def test_demand_fetch_round_trip_applies_when_state_moves():
     assert bare.backhaul_bytes == 0
 
 
+def described_set(acct, task, cost) -> TaskObjectSet:
+    """The object set an accountant's price describes: the call arguments
+    and the charged state are referred, the other objects are not."""
+    p = acct.params
+    args = int(task.profile.upload_bytes * p.args_share)
+    state = cost.backhaul_bytes
+    if p.objects_per_task == 1:
+        return TaskObjectSet(objects=((rec("args+state", args + state), True),))
+    return TaskObjectSet(objects=(
+        (rec("args", args), True), (rec("state", state), True),
+        *((rec(f"idle{i}", 1000), False)
+          for i in range(p.objects_per_task - 2))))
+
+
+@pytest.mark.parametrize("objects_per_task", [1, 4])
+@pytest.mark.parametrize("upload", [0, 10, 100_000, 1_234_567])
+def test_accountant_and_lazy_bytes_share_one_proxy_rule(objects_per_task,
+                                                        upload):
+    params = SyncParams(objects_per_task=objects_per_task, proxy_header=48)
+    acct = TransferAccountant(params)
+    task = make_task(upload, 0)
+    for offload in ("first", "repeat"):
+        cost = acct.preview(task)
+        total, _ = lazy_bytes(described_set(acct, task, cost),
+                              params.proxy_header)
+        assert cost.up_bytes == total, offload
+        acct.commit(task)
+
+
 def test_sync_params_validation():
     for bad, reason in (({"args_share": 1.5}, "args_share"),
                         ({"proxy_header": 0}, "proxy header"),

@@ -119,7 +119,8 @@ def test_mcloud_ignores_contention_and_overshoots():
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(5)
     queues[0].advance(sec(200))
-    completion = queues[0].entry("b").completion + quick.profile.down_edge
+    assert queues[0].entry("b").remaining == 0
+    completion = queues[0].entry("b").end + quick.profile.down_edge
     assert completion == sec(104)
     # the deadline-aware engine would have sent this task to the cloud
     # (6s) rather than promise what the queue cannot deliver

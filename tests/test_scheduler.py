@@ -399,10 +399,12 @@ def test_advance_runs_and_completes_work():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, None)
     q.advance(sec(2))
-    assert q.entry("a").completion is None
+    assert q.entry("a").remaining == sec(8)
     assert q.entry("a").first_start == 0
+    assert q.entry("a").end == sec(10)  # running it moves no end
     q.advance(sec(12))
-    assert q.entry("a").completion == sec(10)
+    assert q.entry("a").remaining == 0
+    assert q.entry("a").end == sec(10)
     assert q.load(q.now) == 0
 
 
@@ -412,9 +414,10 @@ def test_advance_waits_for_ready_gate():
     q.advance(sec(3))
     assert q.entry("a").remaining == sec(1)  # idle until 2s, ran 1s
     assert q.entry("a").first_start == sec(2)
-    assert q.entry("a").completion is None
+    assert q.entry("a").end == sec(4)
     q.advance(sec(5))
-    assert q.entry("a").completion == sec(4)
+    assert q.entry("a").remaining == 0
+    assert q.entry("a").end == sec(4)
 
 
 def test_advance_rejects_going_backwards():
@@ -430,7 +433,8 @@ def test_advance_same_instant_is_a_no_op():
     version = q.version
     q.advance(q.now)
     assert q.entry("a").first_start is None
-    assert q.entry("a").completion is None
+    assert q.entry("a").remaining == sec(1)
+    assert q.entry("a").end == sec(1)
     assert q.version == version
 
 
@@ -522,8 +526,9 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         assert_totals(q, unit)
         assert_entries(q)
     for tid, (vm, limit) in deadlines.items():
-        done = queues[vm].entry(tid).completion
-        assert done is not None
+        entry = queues[vm].entry(tid)
+        assert entry.remaining == 0
+        done = entry.end
         assert done <= limit, f"{tid} missed deadline (seed {seed})"
     return admitted
 
@@ -619,8 +624,9 @@ def count_packs(monkeypatch) -> list[int]:
 
 def test_fifo_appends_never_repack(monkeypatch):
     # A queue fed only by append_fifo, as mcloud feeds it, answers load()
-    # and horizon() from its running totals: summing or packing its chunks
-    # made each mcloud arrival cost O(queue length).
+    # and horizon() from its pending total and its last entry's stored end:
+    # summing or packing its chunks made each mcloud arrival cost
+    # O(queue length).
     calls = count_packs(monkeypatch)
     q = VmQueue(0)
     for i in range(1000):
@@ -637,8 +643,8 @@ def test_fifo_appends_never_repack(monkeypatch):
     assert q.now == sec(250)
     assert calls[0] == 0
 
-    # A commit may reorder the queue, but it takes the new tail from the
-    # trial, which packed the candidate anyway: horizon() never packs.
+    # A commit may reorder the queue, but it stores the ends its trial
+    # priced the candidate with: horizon() never packs.
     q._chunks = q._chunks[:]
     admit(q, "n", sec(1), q.now, None)
     calls[0] = 0
@@ -649,9 +655,9 @@ def test_fifo_appends_never_repack(monkeypatch):
 
 def test_trials_pack_once_per_repair_round(monkeypatch):
     # A repair round packs its candidate once and runs its whole eviction
-    # walk on that pack, and the final round's ends price the trial: r
-    # rounds cost r + 1 packs, plus one for the queue's own ends.  A tail
-    # append delays nobody and is priced from the queue's cached tail.
+    # walk on that pack, and the final round's ends price the trial against
+    # the queued tasks' stored ends: r rounds cost r + 1 packs.  A tail
+    # append delays nobody and is priced from the last entry's stored end.
     calls = count_packs(monkeypatch)
 
     q = VmQueue(0)
@@ -660,7 +666,7 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     calls[0] = 0
     trial = trial_insert(q, task_us("n", sec(3), arrival=sec(2)), sec(2), None)
     assert trial.repair_iterations == 1
-    assert calls[0] == 3
+    assert calls[0] == 2
 
     q = VmQueue(0)
     admit(q, "j0", sec(4), 0, sec(5))
@@ -670,7 +676,7 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(1)), ("j0", sec(4)), ("j1", sec(5)), ("n", sec(1)))
     assert trial.repair_iterations == 2
-    assert calls[0] == 4
+    assert calls[0] == 3
 
     assert q.horizon() == sec(9)  # the commits left the tail known
     calls[0] = 0

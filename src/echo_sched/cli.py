@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--provision-delay", type=float, default=0.0,
                           help="seconds between admission and VM readiness")
     settings.add_argument("--estimate-noise", type=float, default=0.0,
-                          help="multiplicative error on device/cloud "
+                          help="multiplicative error in [0, 1] on device/cloud "
                                "estimates (disables the completion guarantee)")
 
     simulate = sub.add_parser("simulate", parents=[settings],

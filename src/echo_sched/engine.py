@@ -60,7 +60,7 @@ def decide(task: Task, queues: list[VmQueue], ready: int, *,
     # the edge: skip the trials, which would only have advanced clocks.
     if queues and ready + p.r_edge + p.down_edge <= horizon:
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
-        t_edge = (trial.candidate_completion - now) + p.down_edge
+        t_edge = (trial.entry.end - now) + p.down_edge
 
     chosen = fastest(t_mobile, t_cloud, t_edge)
     if chosen is Platform.MOBILE:

@@ -14,6 +14,9 @@ from enum import Enum
 from typing import NamedTuple
 
 US_PER_SECOND = 1_000_000
+# Trace counts (microseconds, bytes) stay below this, so that report
+# arithmetic on them never overflows a float.
+_COUNT_LIMIT = 2**64
 
 
 def from_seconds(value: float) -> int:
@@ -50,6 +53,8 @@ def _check_duration(name: str, value: int) -> None:
         raise TraceError(f"{name} must be an integer microsecond count, got {value!r}")
     if value < 0:
         raise TraceError(f"{name} must be >= 0, got {value}")
+    if value >= _COUNT_LIMIT:
+        raise TraceError(f"{name} must be below 2**64")
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,17 @@ class CostProfile:
 
     def __post_init__(self) -> None:
         # Fast path for the common case; anything else (bool, int
-        # subclasses, bad values) takes the per-field checks below.
+        # subclasses, bad values) takes the per-field checks below.  The
+        # bitwise OR of ints is negative if any is, and else below 2**64
+        # exactly when each is.
         if (type(self.r_mobile) is type(self.r_edge) is type(self.r_cloud)
                 is type(self.up_edge) is type(self.down_edge)
                 is type(self.up_cloud) is type(self.down_cloud)
                 is type(self.upload_bytes) is type(self.download_bytes) is int
-                and min(self.r_mobile, self.r_edge, self.r_cloud, self.up_edge,
-                        self.down_edge, self.up_cloud, self.down_cloud,
-                        self.upload_bytes, self.download_bytes) >= 0
+                and 0 <= (self.r_mobile | self.r_edge | self.r_cloud
+                          | self.up_edge | self.down_edge | self.up_cloud
+                          | self.down_cloud | self.upload_bytes
+                          | self.download_bytes) < _COUNT_LIMIT
                 and self.r_edge):
             return
         for name in ("r_mobile", "r_edge", "r_cloud", "up_edge",
@@ -100,6 +108,8 @@ class CostProfile:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise TraceError(f"{name} must be a non-negative integer, got {value!r}")
+            if value >= _COUNT_LIMIT:
+                raise TraceError(f"{name} must be below 2**64")
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,8 @@ class Task:
     def __post_init__(self) -> None:
         # Fast path, as in CostProfile; the checks below accept a superset.
         if (type(self.id) is type(self.user_id) is type(self.app) is str
-                and type(self.arrival) is int and self.arrival >= 0
+                and type(self.arrival) is int
+                and 0 <= self.arrival < _COUNT_LIMIT
                 and type(self.offloadable) is bool):
             return
         _check_duration("arrival", self.arrival)

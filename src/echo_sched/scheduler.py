@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import Task
 
 logger = logging.getLogger(__name__)
 
-_REPAIR_SLACK = 2  # termination guard headroom over the task count
+_REPAIR_SLACK = 2  # termination guard headroom over the chunk count
 
 
 class SchedulerError(Exception):
@@ -107,11 +107,6 @@ class VmQueue:
             self.advance(at)
             return self._pending
         return tail - at if tail > at else 0
-
-    @property
-    def future_chunks(self) -> tuple[tuple[str, int], ...]:
-        """The pending chunks as (task_id, work) pairs, in queue order."""
-        return tuple([(entry.id, w) for entry, w in self._chunks])
 
     def entry(self, task_id: str) -> TaskEntry:
         """A placed task's bookkeeping; callers only read it."""
@@ -207,27 +202,30 @@ def _merge_adjacent(chunks: list[tuple[TaskEntry, int]]
     return merged
 
 
-@dataclass
-class TrialInsertion:
+class TrialInsertion(NamedTuple):
     """Outcome of tentatively inserting one task into one VM's queue.
 
+    queue is the queue the trial was computed against, at its `version`.
+    entry is the newcomer's TaskEntry, its `end` (the newcomer's execution
+    end under the candidate) already set, which commit() installs.
     delta_t is the completion-time growth: the newcomer's response time
-    plus every delay inflicted on already-queued tasks.  entry is the
-    newcomer's TaskEntry, its `end` already set, which commit() installs.
-    ends maps every entry of a repaired candidate to its end under it, for
-    commit() to store; a tail append moves no queued end, so its ends are
-    empty.  The trial never mutates the source queue.
+    plus every delay inflicted on already-queued tasks.  ends maps every
+    entry of a repaired candidate to its end under it, for commit() to
+    store; a tail append moves no queued end, so its ends are empty.  The
+    trial never mutates the queue.
     """
 
-    vm_index: int
-    delta_t: int
-    candidate_completion: int
-    ends: dict[TaskEntry, int]
-    repair_iterations: int
-    candidate_chunks: tuple[tuple[TaskEntry, int], ...]
+    queue: VmQueue
+    version: int
     entry: TaskEntry
-    _source: VmQueue = field(repr=False)
-    _source_version: int = field(repr=False)
+    delta_t: int
+    ends: dict[TaskEntry, int]
+    candidate_chunks: tuple[tuple[TaskEntry, int], ...]
+    repair_iterations: int
+
+    @property
+    def vm_index(self) -> int:
+        return self.queue.vm_index
 
 
 def trial_insert(queue: VmQueue, task: Task, ready: int,
@@ -245,8 +243,7 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     now = queue.now
     if ready < now:
         raise SchedulerError(f"ready {ready} before queue time {now}")
-    entries = queue._entries
-    if task.id in entries:
+    if task.id in queue._entries:
         raise SchedulerError(f"task {task.id!r} already on vm {queue.vm_index}")
     work = task.profile.r_edge
     new = TaskEntry(task.id, ready, deadline, work)
@@ -262,22 +259,21 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
     repair_iterations = 0
     candidate = None
     if insert_at is not None:
-        candidate, ends, repair_iterations = _repair(
-            original, now, new, insert_at, len(entries), queue.vm_index)
+        candidate, ends, repair_iterations = _repair(queue, new, insert_at)
     delay = 0
     if candidate is None:
         # Nothing to preempt, or preempting here cannot be repaired: a tail
         # append delays nobody and is therefore always admissible.
         candidate_chunks = (*original, (new, work))
         horizon = queue.horizon()
-        new.end = completion = (ready if ready > horizon else horizon) + work
+        new.end = (ready if ready > horizon else horizon) + work
         ends = {}
     else:
         # Every chunk has positive work, so merging adjacent chunks of one
         # task moves no end: the repair's task ends price the merged list.
         candidate_chunks = tuple(_merge_adjacent(candidate))
         # A delay is a new end minus the stored one; the newcomer's is 0.
-        new.end = completion = ends[new]
+        new.end = ends[new]
         for entry, end in ends.items():
             inflicted = end - entry.end
             if inflicted < 0:
@@ -287,50 +283,36 @@ def trial_insert(queue: VmQueue, task: Task, ready: int,
                     f"insertion of {task.id!r} pulled {entry.id!r} earlier on "
                     f"vm {queue.vm_index}; schedule corrupted")
             delay += inflicted
-    delta_t = (completion - task.arrival) + delay
-
-    return TrialInsertion(
-        vm_index=queue.vm_index,
-        delta_t=delta_t,
-        candidate_completion=completion,
-        ends=ends,
-        repair_iterations=repair_iterations,
-        candidate_chunks=candidate_chunks,
-        entry=new,
-        _source=queue,
-        _source_version=queue.version,
-    )
+    delta_t = (new.end - task.arrival) + delay
+    return TrialInsertion(queue, queue.version, new, delta_t, ends,
+                          candidate_chunks, repair_iterations)
 
 
-def _repair(original: list[tuple[TaskEntry, int]],
-            now: int,
-            new: TaskEntry,
-            insert_at: int,
-            admitted: int,
-            vm_index: int
+def _repair(queue: VmQueue, new: TaskEntry, insert_at: int
             ) -> tuple[list[tuple[TaskEntry, int]] | None,
                        dict[TaskEntry, int] | None, int]:
     """Insert the newcomer's entry at insert_at and repair deadline violations.
 
-    Each round packs the candidate once, finds the first admitted task past
-    its deadline (in queue order), the violator, and walks back over the
-    movable chunks before its last chunk: those at or above the floor that
-    are not its own.  For a source chunk of work w, `take` is the source's
-    end plus the violator's work after it, minus its deadline.  If take < w,
-    evicting `take` from the source lands the violator on its deadline.
-    Else the whole chunk goes if the violator then ends at or after its
-    deadline (the walk goes on while it is late), and else no amount lands
-    it there: the round fails.  The evicted work, in queue order, is the
-    next round's insertion right after the violator, at the new floor.
-    Returns (candidate, task ends, rounds), the ends from the final
-    round's pack, or (None, None, rounds) when a round fails; the caller
-    falls back to a tail append then.
+    Each round packs the candidate once, finds the first queued task other
+    than the newcomer past its deadline (in queue order), the violator, and
+    walks back over the movable chunks before its last chunk: those at or
+    above the floor that are not its own.  For a source chunk of work w,
+    `take` is the source's end plus the violator's work after it, minus its
+    deadline.  If take < w, evicting `take` from the source lands the
+    violator on its deadline.  Else the whole chunk goes if the violator
+    then ends at or after its deadline (the walk goes on while it is late),
+    and else no amount lands it there: the round fails.  The evicted work,
+    in queue order, is the next round's insertion right after the violator,
+    at the new floor.  Returns (candidate, task ends, rounds), the ends
+    from the final round's pack, or (None, None, rounds) when a round
+    fails; the caller falls back to a tail append then.
 
     A round's violator ends on its deadline with every chunk of it below
     the new floor.  Later rounds insert and evict only at or above the
     floor, and the packing below it depends only on the chunks there, so
-    that task is never late again: each round has a distinct one of the
-    `admitted` tasks as its violator, and the loop terminates.
+    that task is never late again: each round's violator is a distinct
+    task that was already queued, and each such task holds at least one
+    of the queue's chunks, so their count bounds the rounds.
 
     Invariant: every queued entry's stored `end` is at or before its
     deadline.  commit() refuses a late newcomer and stores a repair's
@@ -342,19 +324,20 @@ def _repair(original: list[tuple[TaskEntry, int]],
     starts at the source's end, so evicting take > 0 pulls the violator
     in by take; the walk asserts it.
     """
-    candidate = list(original)
+    now = queue.now
+    candidate = list(queue._chunks)
     pending = [(new, new.remaining)]
     position = insert_at
     # Chunks below the floor are frozen: moving one could make an earlier
     # round's violator late again, or pull a task ahead of its old end.
     floor = 0
     rounds = 0
-    guard = admitted + _REPAIR_SLACK
+    guard = len(queue._chunks) + _REPAIR_SLACK
     while True:
         candidate[position:position] = pending
         chunk_ends, ends = _pack(candidate, now)
         # The newcomer is exempt: its own lateness is an admission matter
-        # for the caller, not a repair matter.  Every admitted task is
+        # for the caller, not a repair matter.  Every queued task is
         # re-checked each round: an insertion can delay a task whose last
         # chunk lies far past the round's violator, and an earlier round's
         # break must not hide it.
@@ -368,10 +351,10 @@ def _repair(original: list[tuple[TaskEntry, int]],
             return candidate, ends, rounds
         rounds += 1
         if rounds > guard:
-            # Each round has a distinct admitted violator, so the rounds
-            # are bounded by the task count; more means the floor broke.
+            # Each round has a distinct queued violator, so the rounds
+            # are bounded by the chunk count; more means the floor broke.
             raise SchedulerError(
-                f"repair loop exceeded {guard} rounds on vm {vm_index}")
+                f"repair loop exceeded {guard} rounds on vm {queue.vm_index}")
         ready_v = violator.ready
         # Every chunk has positive work, so chunk ends strictly increase and
         # the violator's last chunk is the one that ends at its task end.
@@ -392,8 +375,8 @@ def _repair(original: list[tuple[TaskEntry, int]],
                 return None, None, rounds
             entry, w = candidate[source]
             assert ready_v < chunk_ends[source], (
-                f"{violator.id!r} gated at its ready time on vm {vm_index}: "
-                f"it was already late")
+                f"{violator.id!r} gated at its ready time on vm "
+                f"{queue.vm_index}: it was already late")
             take = chunk_ends[source] + tail - limit
             if take < w:
                 candidate[source] = (entry, w - take)
@@ -443,15 +426,15 @@ def commit(trial: TrialInsertion) -> None:
     newcomer would end past its own deadline: repair pins every admitted
     task at its deadline, so a late one would corrupt later trials.
     """
-    queue = trial._source
-    if trial._source_version != queue.version:
+    queue = trial.queue
+    if trial.version != queue.version:
         raise StaleTrialError(
             f"vm {queue.vm_index} changed since the trial (version "
-            f"{trial._source_version} -> {queue.version})")
+            f"{trial.version} -> {queue.version})")
     entry = trial.entry
-    if entry.deadline is not None and trial.candidate_completion > entry.deadline:
+    if entry.deadline is not None and entry.end > entry.deadline:
         raise LateTrialError(
-            f"{entry.id!r} would end at {trial.candidate_completion}, "
+            f"{entry.id!r} would end at {entry.end}, "
             f"past its deadline {entry.deadline} on vm {queue.vm_index}")
     queue._chunks = list(trial.candidate_chunks)
     queue._entries[entry.id] = entry
@@ -460,5 +443,4 @@ def commit(trial: TrialInsertion) -> None:
         queued.end = end
     queue.version += 1
     logger.debug("vm %d: committed %s (completion %d, growth %d)",
-                 queue.vm_index, entry.id, trial.candidate_completion,
-                 trial.delta_t)
+                 queue.vm_index, entry.id, entry.end, trial.delta_t)

@@ -77,6 +77,10 @@ class SimConfig:
             check(name, value)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.estimate_noise > 1:
+            # 1 + noise * (2u - 1) must stay a non-negative factor.
+            raise ValueError(f"estimate_noise must be in [0, 1], "
+                             f"got {self.estimate_noise}")
         for name, kind in (("energy", EnergyParams), ("sync", SyncParams)):
             value = getattr(self, name)
             if not isinstance(value, kind):

@@ -93,7 +93,7 @@ DEFAULTS = SimConfig(num_vms=1)
 
 
 def chunk_ids(chunks) -> tuple[tuple[str, int], ...]:
-    """A trial's (TaskEntry, work) chunks as (task_id, work) pairs."""
+    """(TaskEntry, work) chunks, a queue's or a trial's, as (task_id, work)."""
     return tuple((entry.id, w) for entry, w in chunks)
 
 
@@ -157,7 +157,7 @@ def reference_trial(queue, task, ready, deadline):
     the tail instead, delaying nobody.
     """
     now, work = queue.now, task.profile.r_edge
-    chunks = [[tid, w] for tid, w in queue.future_chunks]
+    chunks = [[entry.id, w] for entry, w in queue._chunks]
     info = {tid: (queue.entry(tid).ready, queue.entry(tid).deadline)
             for tid, _ in chunks}
     info[task.id] = (ready, deadline)
@@ -224,7 +224,7 @@ class _SteppedVm:
         self.done: dict[str, int] = {}
 
     def resync(self, queue) -> None:
-        self.items = [[tid, w] for tid, w in queue.future_chunks]
+        self.items = [[entry.id, w] for entry, w in queue._chunks]
         for tid, _ in self.items:
             if tid not in self.ready:
                 self.ready[tid] = queue.entry(tid).ready

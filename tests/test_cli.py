@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -186,6 +187,53 @@ def test_simulate_rejects_negative_estimate_noise(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "estimate_noise" in result.stderr
     assert not (tmp_path / "r.json").exists()
+
+
+def test_simulate_rejects_estimate_noise_above_one(tmp_path):
+    # Above 1 the noise factor 1 + noise * (2u - 1) can go negative, and
+    # 1e300 once made the engine exit 1 with an OverflowError traceback.
+    trace = make_trace(tmp_path, n=5)
+    for noise in (1.5, 1e300):
+        result = run_cli("simulate", "--trace", trace, "--policy", "echo",
+                         "--vms", 1, "--estimate-noise", noise,
+                         "--out", tmp_path / "r", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "estimate_noise must be in [0, 1]" in result.stderr
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_simulate_rejects_counts_of_2_64_or_more(tmp_path):
+    # Such a trace once loaded, and the run then died with an
+    # OverflowError: in the report's aggregates for r_mobile, in the
+    # transfer price for upload_bytes.
+    trace = make_trace(tmp_path, n=5)
+    original = trace.read_text().splitlines()
+    for field, policy in (("r_mobile", "end-only"), ("upload_bytes", "echo")):
+        lines = list(original)
+        row = json.loads(lines[2])
+        row["profile"][field] = 10**400
+        lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+        result = run_cli("simulate", "--trace", trace, "--policy", policy,
+                         "--vms", 1, "--out", tmp_path / field, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"line 3: {field} must be below 2**64" in result.stderr
+        assert not (tmp_path / f"{field}.json").exists()
+
+
+def test_simulate_debug_log_names_commits_and_edge_placements(tmp_path):
+    trace = make_trace(tmp_path)
+    env = {**cli_env(), "ECHO_SCHED_LOG": "debug"}
+    result = subprocess.run(
+        [sys.executable, "-m", "echo_sched.cli", "simulate", "--trace",
+         str(trace), "--policy", "echo", "--vms", "2",
+         "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert result.returncode == 0, result.stderr
+    assert re.search(r"vm \d+: committed \S+ \(completion \d+, growth \d+\)",
+                     result.stderr), result.stderr
+    assert re.search(r"task \S+ -> edge vm \d+ \(", result.stderr)
+    assert "--- Logging error ---" not in result.stderr
 
 
 def test_simulate_zero_vms_is_allowed(tmp_path):

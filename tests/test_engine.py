@@ -8,7 +8,7 @@ from echo_sched import engine
 from echo_sched.engine import decide, estimate, fastest
 from echo_sched.model import CostProfile, Platform, Task
 from echo_sched.scheduler import VmQueue, best_vm
-from conftest import edge_ready, mk_task, sec
+from conftest import chunk_ids, edge_ready, mk_task, sec
 
 
 def test_estimate_examples():
@@ -35,7 +35,7 @@ def test_decide_edge_commits_and_sets_deadline():
     assert decision.deadline == sec(6)
     # committed: work queued, input arrives after the upload leg,
     # queue-level deadline excludes the download leg
-    assert queues[0].future_chunks == (("t0", sec(4)),)
+    assert chunk_ids(queues[0]._chunks) == (("t0", sec(4)),)
     assert queues[0].entry("t0").ready == sec(1)
     assert queues[0].entry("t0").deadline == sec(5.5)
 
@@ -57,7 +57,7 @@ def test_decide_cloud_leaves_queue_untouched():
     filler = mk_task("f", r_mobile=5.0, up_cloud=9.0, r_cloud=9.0,
                      down_cloud=9.0, r_edge=5.0)
     assert decide(filler, queues, edge_ready(filler)).platform is Platform.EDGE
-    before_chunks = queues[0].future_chunks
+    before_chunks = chunk_ids(queues[0]._chunks)
     before_version = queues[0].version
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=4.0)
@@ -65,7 +65,7 @@ def test_decide_cloud_leaves_queue_untouched():
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
     assert decision.vm_index is None and decision.deadline is None
-    assert queues[0].future_chunks == before_chunks == (("f", sec(5)),)
+    assert chunk_ids(queues[0]._chunks) == before_chunks == (("f", sec(5)),)
     assert queues[0].version == before_version
 
 
@@ -100,7 +100,7 @@ def test_decide_mobile_when_not_offloadable():
     assert decision.platform is Platform.MOBILE
     assert decision.predicted_completion == sec(10)
     assert decision.vm_index is None and decision.deadline is None
-    assert queues[0].future_chunks == ()
+    assert chunk_ids(queues[0]._chunks) == ()
     assert queues[0].version == 0
 
 

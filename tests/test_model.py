@@ -87,6 +87,31 @@ def test_profile_bool_refused_and_int_subclass_accepted():
         CostProfile(**{**fields, "upload_bytes": -1})
 
 
+@pytest.mark.parametrize("field", [
+    "r_mobile", "r_edge", "r_cloud", "up_edge", "down_edge", "up_cloud",
+    "down_cloud", "upload_bytes", "download_bytes", "arrival"])
+def test_counts_must_be_below_2_64(field):
+    # 10**400 us once loaded and then overflowed a float mid-run; the
+    # exact-int fast path and the per-field checks (taken for an int
+    # subclass) must agree on the bound.
+    class Micros(int):
+        pass
+
+    fields = dict(r_mobile=5, r_edge=1, r_cloud=1, up_edge=0, down_edge=0,
+                  up_cloud=0, down_cloud=0, upload_bytes=0, download_bytes=0)
+
+    def build(value):
+        if field == "arrival":
+            return dataclasses.replace(mk_task("t0"), arrival=value)
+        return CostProfile(**{**fields, field: value})
+
+    for value in (2**64 - 1, Micros(2**64 - 1)):
+        build(value)
+    for value in (2**64, Micros(2**64), 10**400):
+        with pytest.raises(TraceError, match=rf"^{field} must be below 2\*\*64$"):
+            build(value)
+
+
 def test_profile_rejects_zero_edge_run():
     # a zero-work chunk can be neither queued nor executed on a VM
     with pytest.raises(TraceError, match="r_edge must be > 0"):

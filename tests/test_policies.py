@@ -7,7 +7,7 @@ import pytest
 from echo_sched.model import Platform
 from echo_sched.policies import POLICY_NAMES, build_policy
 from echo_sched.scheduler import VmQueue
-from conftest import DEFAULTS, edge_ready, mk_task, sec
+from conftest import DEFAULTS, chunk_ids, edge_ready, mk_task, sec
 
 
 def test_policy_registry():
@@ -74,7 +74,7 @@ def test_thinkair_never_touches_edge_queues():
     task = mk_task("t0", r_mobile=10.0, r_edge=0.1, up_cloud=2.0,
                    r_cloud=3.0, down_cloud=1.0)
     policy.decide(task, queues, edge_ready(task), DEFAULTS)
-    assert queues[0].future_chunks == ()
+    assert chunk_ids(queues[0]._chunks) == ()
 
 
 def test_mcloud_uses_queue_blind_estimate():
@@ -87,7 +87,7 @@ def test_mcloud_uses_queue_blind_estimate():
     assert decision.vm_index == 0
     assert decision.predicted_completion == sec(5)
     assert decision.deadline is None
-    assert queues[0].future_chunks == (("t0", sec(3)),)
+    assert chunk_ids(queues[0]._chunks) == (("t0", sec(3)),)
     assert queues[0].entry("t0").ready == sec(1)
     assert queues[0].entry("t0").deadline is None
 
@@ -173,7 +173,7 @@ def test_echo_keeps_the_no_edge_bound():
     decision = policy.decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
-    assert queues[0].future_chunks == (("f", sec(100)),)
+    assert chunk_ids(queues[0]._chunks) == (("f", sec(100)),)
 
 
 def test_echo_equals_mcloud_without_contention():

@@ -178,7 +178,7 @@ def queue_sessions(draw):
 
 
 def ticked_ends(queue, ready):
-    return step_completions(queue.future_chunks, ready, queue.now, dt=1)
+    return step_completions(chunk_ids(queue._chunks), ready, queue.now, dt=1)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -207,14 +207,14 @@ def test_library_api_keeps_deadlines_and_conserves_work(session):
                 slack, keep = args[2:]
                 deadline = None if slack is None else at + work + slack
                 trial = trial_insert(queue, task, at, deadline)
-                chunks = queue.future_chunks
+                chunks = chunk_ids(queue._chunks)
                 try:
                     if keep:
                         commit(trial)
                         placed = True
                 except LateTrialError:
-                    assert trial.candidate_completion > deadline
-                    assert queue.future_chunks == chunks
+                    assert trial.entry.end > deadline
+                    assert chunk_ids(queue._chunks) == chunks
                 if placed and deadline is not None:
                     deadlines[tid] = deadline
             if placed:
@@ -228,7 +228,7 @@ def test_library_api_keeps_deadlines_and_conserves_work(session):
                            if t in deadlines), tid
         for q, o in zip(queues, oracles):
             pending = q.load(q.now)
-            assert pending == sum(w for _, w in q.future_chunks)
+            assert pending == sum(w for _, w in q._chunks)
             executed = sum(work_of[t] - left for t, left in o.totals.items())
             assert executed + pending == sum(work_of[t] for t in o.totals)
             assert all(end <= deadlines[t] for t, end in o.done.items()
@@ -274,11 +274,11 @@ def test_best_vm_returns_what_a_full_scan_returns(session):
                   for queue in queues]
         full = min(trials, key=lambda trial: trial.delta_t)
         chosen = best_vm(queues, task, ready, deadline)
-        assert ((chosen.vm_index, chosen.delta_t, chosen.candidate_completion,
+        assert ((chosen.vm_index, chosen.delta_t, chosen.entry.end,
                  chunk_ids(chosen.candidate_chunks))
-                == (full.vm_index, full.delta_t, full.candidate_completion,
+                == (full.vm_index, full.delta_t, full.entry.end,
                     chunk_ids(full.candidate_chunks))), i
-        if deadline is None or chosen.candidate_completion <= deadline:
+        if deadline is None or chosen.entry.end <= deadline:
             commit(chosen)
 
 
@@ -297,7 +297,8 @@ def clock_sessions(draw):
 
 
 def clock_state(queue, ids):
-    return (queue.now, queue.future_chunks, queue.load(queue.now), queue.horizon(),
+    return (queue.now, chunk_ids(queue._chunks), queue.load(queue.now),
+            queue.horizon(),
             [(queue.entry(tid).first_start, queue.entry(tid).end,
               queue.entry(tid).remaining) for tid in ids])
 
@@ -324,10 +325,10 @@ def test_advance_in_two_steps_equals_one(ops):
                     continue
                 deadline = None if args[2] is None else ready + work + args[2]
                 trial = trial_insert(queue, task, ready, deadline)
-                if deadline is None or trial.candidate_completion <= deadline:
+                if deadline is None or trial.entry.end <= deadline:
                     commit(trial)
             # a task just placed has all of its work pending
-            if any(t == tid for t, _ in direct.future_chunks):
+            if any(entry.id == tid for entry, _ in direct._chunks):
                 ids.append(tid)
         assert clock_state(stepped, ids) == clock_state(direct, ids), i
 
@@ -360,7 +361,7 @@ def test_load_equals_the_pending_work_of_an_advanced_copy(ops):
             at = now + args[0]
             advanced = copy.deepcopy(queue)
             advanced.advance(at)
-            expected = sum(w for _, w in advanced.future_chunks)
+            expected = sum(w for _, w in advanced._chunks)
             assert queue.load(at) == expected, i
         else:
             work, ready = args[0], now + args[1]
@@ -371,7 +372,7 @@ def test_load_equals_the_pending_work_of_an_advanced_copy(ops):
                 continue
             deadline = None if args[2] is None else ready + work + args[2]
             trial = trial_insert(queue, task, ready, deadline)
-            if deadline is None or trial.candidate_completion <= deadline:
+            if deadline is None or trial.entry.end <= deadline:
                 commit(trial)
 
 
@@ -392,7 +393,7 @@ class AlwaysTrialEcho(DeadlineAwareEdgePolicy):
         p = task.profile
         horizon = now + min(t_mobile, t_cloud)
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
-        t_edge = (trial.candidate_completion - now) + p.down_edge
+        t_edge = (trial.entry.end - now) + p.down_edge
         chosen = engine.fastest(t_mobile, t_cloud, t_edge)
         if chosen is Platform.EDGE:
             commit(trial)
@@ -504,8 +505,8 @@ def test_trials_equal_the_unit_step_reference(ops):
         trial = trial_insert(queue, task, ready, deadline)
         last = trial.candidate_chunks[-1][0]
         tail = trial.ends.get(last, last.end)
-        assert (chunk_ids(trial.candidate_chunks), trial.candidate_completion,
+        assert (chunk_ids(trial.candidate_chunks), trial.entry.end,
                 tail, trial.delta_t) == expected, i
         if keep and (deadline is None
-                     or trial.candidate_completion <= deadline):
+                     or trial.entry.end <= deadline):
             commit(trial)

@@ -39,13 +39,13 @@ def admit(queue: VmQueue, tid: str, work: int, ready: int,
 
 
 def oracle_ends(queue: VmQueue, dt: int = 1000) -> dict[str, int]:
-    ready = {tid: queue.entry(tid).ready for tid, _ in queue.future_chunks}
-    return step_completions(queue.future_chunks, ready, queue.now, dt)
+    ready = {entry.id: entry.ready for entry, _ in queue._chunks}
+    return step_completions(chunk_ids(queue._chunks), ready, queue.now, dt)
 
 
 def trial_ends(queue: VmQueue, trial, dt: int = 1000) -> dict[str, int]:
     """Ticked ends of the trial's candidate schedule on its source queue."""
-    ready = {tid: queue.entry(tid).ready for tid, _ in queue.future_chunks}
+    ready = {entry.id: entry.ready for entry, _ in queue._chunks}
     ready[trial.entry.id] = trial.entry.ready
     return step_completions(chunk_ids(trial.candidate_chunks), ready,
                             queue.now, dt)
@@ -53,7 +53,7 @@ def trial_ends(queue: VmQueue, trial, dt: int = 1000) -> dict[str, int]:
 
 def assert_totals(queue: VmQueue, dt: int = 1000) -> None:
     """The running load() and horizon() equal a recount from the chunks."""
-    assert queue.load(queue.now) == sum(w for _, w in queue.future_chunks)
+    assert queue.load(queue.now) == sum(w for _, w in queue._chunks)
     ends = oracle_ends(queue, dt)
     assert queue.horizon() == max(ends.values(), default=queue.now)
 
@@ -92,7 +92,7 @@ def test_remaining_work_sums_future_segments():
     admit(q, "a", sec(5), 0, None)
     q.advance(sec(2))
     assert q.entry("a").remaining == sec(3)
-    future = sum(w for tid, w in q.future_chunks if tid == "a")
+    future = sum(w for entry, w in q._chunks if entry.id == "a")
     assert future == sec(3)
     assert q.load(q.now) == sec(3)
 
@@ -105,11 +105,11 @@ def test_trial_into_empty_queue():
     task = task_us("n", sec(4))
     trial = trial_insert(q, task, 0, sec(50))
     assert chunk_ids(trial.candidate_chunks) == (("n", sec(4)),)
-    assert trial.candidate_completion == sec(4)
+    assert trial.entry.end == sec(4)
     assert trial.delta_t == sec(4)
     assert trial.repair_iterations == 0
     # trial must not touch the source queue
-    assert q.future_chunks == ()
+    assert chunk_ids(q._chunks) == ()
     assert q.version == 0
 
 
@@ -120,7 +120,7 @@ def test_trial_preempts_longer_task():
     trial = trial_insert(q, task_us("n", sec(3)), 0, None)
     assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(3)), ("j1", sec(8)))
-    assert trial.candidate_completion == sec(3)
+    assert trial.entry.end == sec(3)
     assert trial.delta_t == sec(6)  # 3s response + 3s inflicted on j1
     assert trial.repair_iterations == 0
     ends = step_completions(chunk_ids(trial.candidate_chunks),
@@ -139,7 +139,7 @@ def test_trial_repair_splits_newcomer_around_deadline():
     trial = trial_insert(q, task_us("n", sec(3), arrival=sec(2)), sec(2), None)
     assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(2)), ("j1", sec(8)), ("n", sec(1)))
-    assert trial.candidate_completion == sec(13)
+    assert trial.entry.end == sec(13)
     assert trial.repair_iterations == 1
     ends = step_completions(chunk_ids(trial.candidate_chunks),
                             {"n": sec(2), "j1": 0}, sec(2))
@@ -162,7 +162,7 @@ def test_trial_repair_respects_ready_gap():
     ends = step_completions(chunk_ids(trial.candidate_chunks),
                             {"n": sec(6), "b": 0}, 0)
     assert ends == {"n": sec(17), "b": sec(13)}  # b lands on its deadline
-    assert trial.candidate_completion == sec(17)
+    assert trial.entry.end == sec(17)
     assert trial.delta_t == sec(24)  # 17s response + 7s inflicted on b
 
 
@@ -174,14 +174,14 @@ def test_trial_repair_evicts_whole_chunks_then_part_of_one():
     q = VmQueue(0)
     admit(q, "a", sec(9), sec(2), sec(16))
     admit(q, "b", sec(6), 0, None)
-    assert q.future_chunks == (("b", sec(6)), ("a", sec(9)))
+    assert chunk_ids(q._chunks) == (("b", sec(6)), ("a", sec(9)))
     trial = trial_insert(q, task_us("n", sec(4)), sec(4), sec(9))
     assert chunk_ids(trial.candidate_chunks) == (
         ("n", sec(3)), ("a", sec(9)), ("n", sec(1)), ("b", sec(6)))
     assert trial.repair_iterations == 1
     ends = trial_ends(q, trial)
     assert ends == {"n": sec(17), "a": sec(16), "b": sec(23)}
-    assert trial.candidate_completion == sec(17)
+    assert trial.entry.end == sec(17)
     assert trial.delta_t == sec(35)  # 17s response + 1s on a + 17s on b
 
 
@@ -194,14 +194,14 @@ def test_trial_repair_takes_part_of_a_chunk_when_the_whole_also_lands():
     q = VmQueue(0)
     admit(q, "t2", sec(9), 0, sec(19))
     admit(q, "t1", sec(8), sec(2), sec(10))
-    assert q.future_chunks == (("t1", sec(8)), ("t2", sec(9)))
+    assert chunk_ids(q._chunks) == (("t1", sec(8)), ("t2", sec(9)))
     trial = trial_insert(q, task_us("t3", sec(5)), 0, sec(20))
     assert chunk_ids(trial.candidate_chunks) == (
         ("t3", sec(2)), ("t1", sec(8)), ("t2", sec(9)), ("t3", sec(3)))
     assert trial.repair_iterations == 2
     assert trial_ends(q, trial) == {"t3": sec(22), "t1": sec(10),
                                     "t2": sec(19)}
-    assert trial.candidate_completion == sec(22)
+    assert trial.entry.end == sec(22)
     assert trial.delta_t == sec(22)  # nobody else delayed
 
 
@@ -217,13 +217,14 @@ def test_trial_repair_slides_every_chunk_of_the_violator():
     admit(q, "a", sec(7), sec(3), sec(11))
     q.advance(sec(6))
     admit(q, "b", sec(3), sec(6), sec(13))
-    assert q.future_chunks == (("b", sec(1)), ("a", sec(4)), ("b", sec(2)))
+    assert chunk_ids(q._chunks) == (
+        ("b", sec(1)), ("a", sec(4)), ("b", sec(2)))
     trial = trial_insert(q, task_us("n", sec(2), arrival=sec(6)), sec(9),
                          sec(11))
     assert chunk_ids(trial.candidate_chunks) == (
         ("b", sec(1)), ("a", sec(4)), ("b", sec(2)), ("n", sec(2)))
     assert trial.repair_iterations == 2
-    assert trial.candidate_completion == sec(15)
+    assert trial.entry.end == sec(15)
     assert trial.delta_t == sec(9)
 
 
@@ -249,7 +250,7 @@ def test_trial_repair_checks_tasks_beyond_first_violator():
     q = VmQueue(0)
     admit(q, "k", sec(10), 0, sec(14))
     admit(q, "m", sec(3), 0, sec(5))
-    assert q.future_chunks == (("m", sec(3)), ("k", sec(10)))
+    assert chunk_ids(q._chunks) == (("m", sec(3)), ("k", sec(10)))
     trial = trial_insert(q, task_us("n", sec(2)), 0, None)
     assert chunk_ids(trial.candidate_chunks) == (
         ("m", sec(3)), ("k", sec(10)), ("n", sec(2)))
@@ -279,8 +280,8 @@ def test_late_own_deadline_is_reported_not_hidden():
     q = VmQueue(0)
     admit(q, "a", sec(10), 0, sec(10))
     trial = trial_insert(q, task_us("n", sec(4)), 0, sec(9))
-    assert trial.candidate_completion == sec(14)
-    assert trial.candidate_completion > trial.entry.deadline
+    assert trial.entry.end == sec(14)
+    assert trial.entry.end > trial.entry.deadline
 
 
 # ---------------------------------------------------------------- best_vm
@@ -353,8 +354,11 @@ def test_commit_applies_trial_exactly():
     q = VmQueue(0)
     admit(q, "a", sec(4), 0, None)
     trial = trial_insert(q, task_us("b", sec(2)), 0, None)
+    # a trial names its queue and the version it was computed against
+    assert (trial.queue, trial.version, trial.vm_index) == (q, q.version, 0)
     commit(trial)
-    assert q.future_chunks == chunk_ids(trial.candidate_chunks)
+    assert chunk_ids(q._chunks) == chunk_ids(trial.candidate_chunks)
+    assert q.entry("b") is trial.entry and trial.entry.end == sec(2)
     assert q.entry("b").deadline is None
     assert q.entry("b").ready == 0
 
@@ -375,12 +379,12 @@ def test_commit_refuses_a_newcomer_past_its_own_deadline():
     q = VmQueue(0)
     admit(q, "a", sec(5), 0, None)
     late = trial_insert(q, task_us("b", sec(6)), 0, sec(8))
-    assert late.candidate_completion == sec(11)
+    assert late.entry.end == sec(11)
     version = q.version
     with pytest.raises(LateTrialError, match="'b'"):
         commit(late)
     assert issubclass(LateTrialError, SchedulerError)
-    assert q.version == version and q.future_chunks == (("a", sec(5)),)
+    assert q.version == version and chunk_ids(q._chunks) == (("a", sec(5)),)
     admit(q, "c", sec(1), 0, None)
     assert oracle_ends(q) == {"c": sec(1), "a": sec(6)}
 
@@ -389,7 +393,7 @@ def test_commit_accepts_a_newcomer_ending_on_its_deadline():
     q = VmQueue(0)
     admit(q, "a", sec(5), 0, None)
     trial = admit(q, "b", sec(6), 0, sec(11))
-    assert trial.candidate_completion == sec(11) == oracle_ends(q)["b"]
+    assert trial.entry.end == sec(11) == oracle_ends(q)["b"]
 
 
 # ---------------------------------------------------------------- advance
@@ -485,7 +489,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
         for q, trial in zip(queues, trials):
             old = oracle_ends(q, unit)
             new = trial_ends(q, trial, unit)
-            assert new[task.id] == trial.candidate_completion
+            assert new[task.id] == trial.entry.end
             growth = new[task.id] - task.arrival
             for tid, end in old.items():
                 inflicted = new[tid] - end
@@ -499,7 +503,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
                 if limit is not None:
                     assert new[tid] <= limit, f"{tid} late in candidate"
             assert trial.repair_iterations <= len(set(
-                tid for tid, _ in q.future_chunks)) + 2
+                entry.id for entry, _ in q._chunks)) + 2
 
             if trial.repair_iterations == 0:
                 # plain SRTF placement: whoever got displaced had strictly
@@ -511,7 +515,7 @@ def _random_session(seed: int, n_vms: int, n_tasks: int, unit: int = 1000):
                     displaced = chunks[pos + 1][0]
                     assert q.entry(displaced).remaining > work
 
-        if deadline is None or chosen.candidate_completion <= deadline:
+        if deadline is None or chosen.entry.end <= deadline:
             commit(chosen)
             assert_totals(queues[vm], unit)
             assert_entries(queues[vm])
@@ -585,8 +589,8 @@ def _mixed_session(seed: int, n_vms: int, n_tasks: int) -> int:
                     else ready + work + rng.randrange(0, 2500) * 1000)
         trial = best_vm(queues, task, ready, deadline)
         assert (trial_ends(queues[trial.vm_index], trial)[task.id]
-                == trial.candidate_completion), f"seed {seed}"
-        if deadline is None or trial.candidate_completion <= deadline:
+                == trial.entry.end), f"seed {seed}"
+        if deadline is None or trial.entry.end <= deadline:
             commit(trial)
             assert_totals(queues[trial.vm_index])
     horizon = max(q.horizon() for q in queues)
@@ -682,7 +686,7 @@ def test_trials_pack_once_per_repair_round(monkeypatch):
     calls[0] = 0
     trial = trial_insert(q, task_us("m", sec(20)), 0, None)
     assert chunk_ids(trial.candidate_chunks)[-1] == ("m", sec(20))
-    assert trial.candidate_completion == sec(29)
+    assert trial.entry.end == sec(29)
     assert calls[0] == 0
 
     # A repair that fails after r rounds costs r packs before the append.

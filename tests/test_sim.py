@@ -487,10 +487,12 @@ def test_config_validation():
                 SyncParams(**{name: bad})
     # float settings must be finite reals: estimate_noise=True and
     # args_share=True were echoed as true, change_fraction="0.25" raised a
-    # bare TypeError, and a negative noise ran
-    for bad in (True, "0.1", None, -0.3):
+    # bare TypeError, and a negative noise ran; above 1 the noise factor
+    # can go negative, and 1e300 overflowed in the engine
+    for bad in (True, "0.1", None, -0.3, 1.5, 1e300):
         with pytest.raises(ValueError, match="estimate_noise"):
             SimConfig(num_vms=1, estimate_noise=bad)
+    assert SimConfig(num_vms=1, estimate_noise=1).estimate_noise == 1
     for name in ("args_share", "referred_share", "change_fraction"):
         for bad in (True, "0.25", None, float("nan")):
             with pytest.raises(ValueError, match=name):

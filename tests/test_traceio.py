@@ -68,12 +68,14 @@ def test_load_reports_bad_field_values(tmp_path):
     path = tmp_path / "trace.jsonl"
     save(trace, path)
     lines = path.read_text().splitlines()
-    row = json.loads(lines[1])
-    row["profile"]["r_mobile"] = -5
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceError, match="line 2.*r_mobile"):
-        load(path)
+    # 2**64 us once loaded, and a larger count overflowed a float mid-run
+    for value in (-5, 2**64):
+        row = json.loads(lines[1])
+        row["profile"]["r_mobile"] = value
+        lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="line 2.*r_mobile"):
+            load(path)
 
 
 def test_load_rejects_unknown_keys(tmp_path):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 
 from .model import Decision, Platform, Task
-from .scheduler import TrialInsertion, VmQueue, best_vm, commit
+from .scheduler import VmQueue, best_vm, commit
 
 logger = logging.getLogger(__name__)
 
@@ -38,41 +38,38 @@ def estimate(task: Task) -> tuple[int, int]:
     return t_mobile, t_cloud
 
 
-def decide(task: Task, queues: list[VmQueue], ready: int, *,
-           estimate_noise: float = 0.0, noise_seed: int = 0) -> Decision:
-    """Place a task whose VM work may start at `ready`; commit if edge wins."""
+def decide(task: Task, queues: list[VmQueue], ready: int, config) -> Decision:
+    """Place a task whose VM work may start at `ready`; commit if edge wins.
+
+    Of the run's SimConfig, only `estimate_noise` and `seed` are read.
+    """
     now = task.arrival
     t_mobile, t_cloud = estimate(task)
-    if estimate_noise:
-        t_mobile = _distort(t_mobile, task.id, noise_seed, estimate_noise)
-        t_cloud = _distort(t_cloud, task.id + "/c", noise_seed, estimate_noise)
+    noise = config.estimate_noise
+    if noise:
+        t_mobile = _distort(t_mobile, task.id, config.seed, noise)
+        t_cloud = _distort(t_cloud, task.id + "/c", config.seed, noise)
     if not task.offloadable:
         return Decision(Platform.MOBILE, now + t_mobile)
 
     p = task.profile
-    # The task may only finish later than its no-edge alternative if it
-    # was never admitted; once admitted this bound is its deadline.
+    # The promise: once admitted, the task ends by its no-edge alternative.
     horizon = now + min(t_mobile, t_cloud)
-    t_edge: int | None = None
-    trial: TrialInsertion | None = None
-    # No trial can end before ready + r_edge, so past this bound t_edge
-    # would exceed min(t_mobile, t_cloud) and fastest() would not pick
-    # the edge: skip the trials, which would only have advanced clocks.
+    # No trial can end before ready + r_edge, so past this bound the edge
+    # cannot keep the promise: skip the trials, which only advance clocks.
     if queues and ready + p.r_edge + p.down_edge <= horizon:
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
-        t_edge = (trial.entry.end - now) + p.down_edge
-
-    chosen = fastest(t_mobile, t_cloud, t_edge)
-    if chosen is Platform.MOBILE:
-        return Decision(Platform.MOBILE, now + t_mobile)
-    if chosen is Platform.CLOUD:
-        return Decision(Platform.CLOUD, now + t_cloud)
-    assert trial is not None and t_edge is not None
-    commit(trial)
-    logger.debug("task %s -> edge vm %d (t_m=%d t_c=%d t_e=%d)",
-                 task.id, trial.vm_index, t_mobile, t_cloud, t_edge)
-    return Decision(Platform.EDGE, now + t_edge, vm_index=trial.vm_index,
-                    deadline=horizon)
+        done = trial.entry.end + p.down_edge
+        if done <= horizon:  # fastest()'s edge clause: ties go to the edge
+            commit(trial)
+            logger.debug("task %s -> edge vm %d (t_m=%d t_c=%d t_e=%d)",
+                         task.id, trial.vm_index, t_mobile, t_cloud,
+                         done - now)
+            return Decision(Platform.EDGE, done, vm_index=trial.vm_index,
+                            deadline=horizon)
+    chosen = fastest(t_mobile, t_cloud, None)
+    return Decision(chosen, now + (t_cloud if chosen is Platform.CLOUD
+                                   else t_mobile))
 
 
 def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:

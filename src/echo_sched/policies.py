@@ -115,9 +115,7 @@ class DeadlineAwareEdgePolicy:
 
     def decide(self, task: Task, queues: list[VmQueue], ready: int,
                config) -> Decision:
-        return engine.decide(task, queues, ready,
-                             estimate_noise=config.estimate_noise,
-                             noise_seed=config.seed)
+        return engine.decide(task, queues, ready, config)
 
 
 _POLICIES = {cls.name: cls for cls in (

@@ -8,7 +8,8 @@ from echo_sched import engine
 from echo_sched.engine import decide, estimate, fastest
 from echo_sched.model import CostProfile, Platform, Task
 from echo_sched.scheduler import VmQueue, best_vm
-from conftest import chunk_ids, edge_ready, mk_task, sec
+from echo_sched.sim import SimConfig
+from conftest import DEFAULTS, chunk_ids, edge_ready, mk_task, sec
 
 
 def test_estimate_examples():
@@ -28,7 +29,7 @@ def test_decide_edge_commits_and_sets_deadline():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=0.5)
-    decision = decide(task, queues, edge_ready(task))
+    decision = decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.vm_index == 0
     assert decision.predicted_completion == sec(5.5)
@@ -44,7 +45,7 @@ def test_decide_tie_prefers_edge():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=0.5)
-    decision = decide(task, queues, edge_ready(task, delay=sec(0.5)))
+    decision = decide(task, queues, edge_ready(task, delay=sec(0.5)), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(6)  # exactly the cloud time
 
@@ -56,12 +57,13 @@ def test_decide_cloud_leaves_queue_untouched():
     queues = [VmQueue(0)]
     filler = mk_task("f", r_mobile=5.0, up_cloud=9.0, r_cloud=9.0,
                      down_cloud=9.0, r_edge=5.0)
-    assert decide(filler, queues, edge_ready(filler)).platform is Platform.EDGE
+    assert (decide(filler, queues, edge_ready(filler), DEFAULTS).platform
+            is Platform.EDGE)
     before_chunks = chunk_ids(queues[0]._chunks)
     before_version = queues[0].version
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=4.0)
-    decision = decide(task, queues, edge_ready(task))
+    decision = decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert decision.predicted_completion == sec(6)
     assert decision.vm_index is None and decision.deadline is None
@@ -80,13 +82,13 @@ def test_decide_runs_no_trial_when_the_edge_cannot_win(monkeypatch):
                         lambda *args: tried.append(args) or best_vm(*args))
     late = mk_task("t0", 1.0, r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=1.5)
-    decision = decide(late, queues, edge_ready(late))
+    decision = decide(late, queues, edge_ready(late), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert tried == []
     assert [q.now for q in queues] == [0, 0]
     fits = mk_task("t1", 1.0, r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0, down_edge=1.0)
-    decision = decide(fits, queues, edge_ready(fits))
+    decision = decide(fits, queues, edge_ready(fits), DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == decision.deadline == sec(7)
     assert len(tried) == 1
@@ -96,7 +98,7 @@ def test_decide_mobile_when_not_offloadable():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, r_edge=0.1, up_cloud=0.1,
                    r_cloud=0.1, down_cloud=0.1, offloadable=False)
-    decision = decide(task, queues, edge_ready(task))
+    decision = decide(task, queues, edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.MOBILE
     assert decision.predicted_completion == sec(10)
     assert decision.vm_index is None and decision.deadline is None
@@ -107,22 +109,23 @@ def test_decide_mobile_when_not_offloadable():
 def test_decide_without_vms_is_two_way():
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, r_edge=0.1)
-    decision = decide(task, [], edge_ready(task))
+    decision = decide(task, [], edge_ready(task), DEFAULTS)
     assert decision.platform is Platform.CLOUD
     assert decision.vm_index is None and decision.deadline is None
     # with a VM the same task would have gone to the edge
-    assert (decide(task, [VmQueue(0)], edge_ready(task)).platform
+    assert (decide(task, [VmQueue(0)], edge_ready(task), DEFAULTS).platform
             is Platform.EDGE)
     slow_cloud = mk_task("t1", r_mobile=5.0, up_cloud=2.0, r_cloud=3.0,
                          down_cloud=1.0)
-    assert (decide(slow_cloud, [], edge_ready(slow_cloud)).platform
+    assert (decide(slow_cloud, [], edge_ready(slow_cloud), DEFAULTS).platform
             is Platform.MOBILE)
 
 
 def test_decide_mobile_cloud_tie_prefers_cloud():
     task = mk_task("t0", r_mobile=6.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0)
-    assert decide(task, [], edge_ready(task)).platform is Platform.CLOUD
+    assert (decide(task, [], edge_ready(task), DEFAULTS).platform
+            is Platform.CLOUD)
 
 
 def test_fastest_breaks_ties_edge_then_cloud_then_device():
@@ -139,7 +142,8 @@ def test_upload_override_shifts_ready_time():
     queues = [VmQueue(0)]
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0, up_edge=1.0, r_edge=4.0)
-    decision = decide(task, queues, edge_ready(task, upload=sec(0.25)))
+    decision = decide(task, queues, edge_ready(task, upload=sec(0.25)),
+                      DEFAULTS)
     assert decision.platform is Platform.EDGE
     assert decision.predicted_completion == sec(4.25)
     assert queues[0].entry("t0").ready == sec(0.25)
@@ -155,7 +159,7 @@ def test_decisions_are_deterministic():
                            down_cloud=1.0)
             for q in queues:
                 q.advance(task.arrival)
-            out.append(decide(task, queues, edge_ready(task)))
+            out.append(decide(task, queues, edge_ready(task), DEFAULTS))
         return out
     assert run() == run()
 
@@ -168,9 +172,10 @@ def test_noise_distorts_reproducibly_and_stays_bounded():
     remote = mk_task("t0", r_mobile=1000.0, up_cloud=2.0, r_cloud=3.0,
                      down_cloud=1.0)
 
+    NOISY = SimConfig(num_vms=0, estimate_noise=0.3, seed=7)
+
     def noisy(task):
-        return decide(task, [], edge_ready(task), estimate_noise=0.3,
-                      noise_seed=7)
+        return decide(task, [], edge_ready(task), NOISY)
 
     assert noisy(local) == noisy(local)
     assert noisy(remote) == noisy(remote)
@@ -193,9 +198,9 @@ def test_choice_invariant_under_uniform_scaling():
             scaled = CostProfile(*(d * scale for d in durations))
             t1 = Task(id="a", user_id="u", app="x", arrival=0, profile=base)
             t2 = Task(id="a", user_id="u", app="x", arrival=0, profile=scaled)
-            chosen1 = decide(t1, [VmQueue(0)], edge_ready(t1)).platform
-            chosen2 = decide(t2, [VmQueue(0)], edge_ready(t2)).platform
-            assert chosen1 is chosen2
+            chosen1 = decide(t1, [VmQueue(0)], edge_ready(t1), DEFAULTS)
+            chosen2 = decide(t2, [VmQueue(0)], edge_ready(t2), DEFAULTS)
+            assert chosen1.platform is chosen2.platform
 
 
 def test_edge_admissions_always_meet_their_deadline():
@@ -219,7 +224,7 @@ def test_edge_admissions_always_meet_their_deadline():
             up_cloud=rng.randrange(400, 1500) / 1000,
             down_cloud=rng.randrange(400, 1500) / 1000,
         )
-        decision = decide(task, queues, edge_ready(task))
+        decision = decide(task, queues, edge_ready(task), DEFAULTS)
         if decision.platform is Platform.EDGE:
             assert decision.predicted_completion <= decision.deadline
             placed.append((task, decision))

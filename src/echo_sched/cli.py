@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="seconds between admission and VM readiness")
     settings.add_argument("--estimate-noise", type=float, default=0.0,
                           help="multiplicative error in [0, 1] on device/cloud "
-                               "estimates (disables the completion guarantee)")
+                               "estimates (echo's edge promise still holds)")
 
     simulate = sub.add_parser("simulate", parents=[settings],
                               help="replay a trace through a policy")

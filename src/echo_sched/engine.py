@@ -1,23 +1,24 @@
 """Offload decision engine: place each task where it finishes soonest.
 
-For every arriving task the engine estimates completion on the device, on
-the cloud, and on the best edge VM (via a pure schedule trial), then picks
-the platform with the smallest estimate.  Ties prefer edge, then cloud:
-when times are equal the nearer or cheaper-for-the-operator option wins.
+For every arriving task the engine estimates completion on the device and
+on the cloud.  The sooner of the two, from arrival, is the task's promise:
+on the edge it must finish no later than it would without one.  The edge
+wins exactly when the best VM's schedule trial, plus the download leg,
+ends by the promise; otherwise the faster of device and cloud wins.
 
 Pricing the edge advances each tried VM's clock, which changes no
 schedule; choosing the device or the cloud leaves every schedule as it
-was.  Choosing edge commits the trialed insertion and attaches a
-completion deadline: the task must finish no later than the best it could
-have done without the edge (device vs cloud, whichever is sooner).  That
-deadline, minus the result download leg, is what the queue enforces for
-the task from then on, so later arrivals can only preempt it if it still
-finishes in time.
+was.  Choosing edge commits the trial, and the promise becomes the task's
+deadline; minus the download leg, the queue enforces it from then on, so
+later arrivals can only preempt the task if it still finishes in time.
+Under estimate noise the promise is shrunk to a lower bound on the true
+no-edge time (see _distort), so it holds against the truth too.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 from .model import Decision, Platform, Task
 from .scheduler import VmQueue, best_vm, commit
@@ -53,10 +54,13 @@ def decide(task: Task, queues: list[VmQueue], ready: int, config) -> Decision:
         return Decision(Platform.MOBILE, now + t_mobile)
 
     p = task.profile
-    # The promise: once admitted, the task ends by its no-edge alternative.
-    horizon = now + min(t_mobile, t_cloud)
-    # No trial can end before ready + r_edge, so past this bound the edge
-    # cannot keep the promise: skip the trials, which only advance clocks.
+    # The promise: once admitted, the task ends by its no-edge alternative;
+    # under noise, by a bound that no true duration undercuts (_distort).
+    bound = min(t_mobile, t_cloud)
+    if noise:
+        bound = math.floor((bound - 1) / (1 + noise))
+    horizon = now + bound
+    # No trial ends before ready + r_edge: past the promise, skip the trials.
     if queues and ready + p.r_edge + p.down_edge <= horizon:
         trial = best_vm(queues, task, ready, horizon - p.down_edge)
         done = trial.entry.end + p.down_edge
@@ -81,7 +85,9 @@ def fastest(t_mobile: int, t_cloud: int, t_edge: int | None) -> Platform:
 
 
 def _distort(duration: int, key: str, seed: int, magnitude: float) -> int:
-    """Deterministically mis-estimate a duration by up to +/- magnitude."""
+    """Deterministically mis-estimate a duration by up to +/- magnitude m.
+    est = max(1, round(true * f)) with f in [1 - m, 1 + m), so unless clamped
+    true > (est - 0.5) / (1 + m); either way true >= floor((est-1) / (1+m))."""
     from zlib import crc32
     h = crc32(key.encode(errors="surrogatepass"))  # lone surrogates too
     h ^= seed * 0x9E3779B1 & 0xFFFFFFFF

@@ -64,7 +64,7 @@ GOLDEN = {
     ("echo", 4):
         "2f7c61a93a0006b6889f48ade8cff7aa7f86f61365f18909ab193796064d59c5",
     ("echo", "delay+noise+rtt"):
-        "8b74c4445c58546b550e7c96a5ef120c80f231f43ab3f236c86a71b456bea88c",
+        "89ccf5a88b9192c0674b1ee61acfdc7a3746d30adebbc7e935655156d3305cf5",
 }
 
 

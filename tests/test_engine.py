@@ -187,6 +187,30 @@ def test_noise_distorts_reproducibly_and_stays_bounded():
     assert abs(t_cloud - sec(6)) <= sec(1.8) + 1
 
 
+def test_noisy_promise_holds_for_a_zero_true_duration():
+    # A duration that truly takes 0 µs is estimated as 1 µs, the clamp,
+    # whatever the id and seed.  The promise floor((1 - 1) / 1.3) = 0 µs
+    # leaves the 1 µs edge run no room, so the no-edge platform keeps the
+    # task.  floor((1 + 0.5) / 1.3) = 1 µs would admit the edge, which
+    # then ends 1 µs past the true bound.
+    noisy = SimConfig(num_vms=1, estimate_noise=0.3, seed=7)
+    slow = sec(10)
+    for platform, true_zero in ((Platform.MOBILE, dict(r_mobile=0)),
+                                (Platform.CLOUD, dict(up_cloud=0, r_cloud=0,
+                                                      down_cloud=0))):
+        legs = dict(r_mobile=slow, r_edge=1, r_cloud=slow, up_edge=0,
+                    down_edge=0, up_cloud=slow, down_cloud=slow)
+        task = Task(id="t0", user_id="u", app="x", arrival=0,
+                    profile=CostProfile(**{**legs, **true_zero}))
+        queues = [VmQueue(0)]
+        decision = decide(task, queues, edge_ready(task), noisy)
+        assert decision.platform is platform
+        assert chunk_ids(queues[0]._chunks) == ()
+        # without noise the 0 µs bound is as tight, and nothing changes
+        assert decide(task, queues, edge_ready(task),
+                      DEFAULTS).platform is platform
+
+
 def test_choice_invariant_under_uniform_scaling():
     rng = random.Random(33)
     for _ in range(150):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from echo_sched import engine
 from echo_sched.model import Platform
 from echo_sched.policies import POLICY_NAMES, build_policy
 from echo_sched.scheduler import VmQueue
+from echo_sched.sim import SimConfig
 from conftest import DEFAULTS, chunk_ids, edge_ready, mk_task, sec
 
 
@@ -155,6 +157,17 @@ def test_echo_policy_wraps_the_decision_engine():
     assert decision.predicted_completion == sec(5.5)
     assert decision.deadline == sec(6)
     assert queues[0].entry("t0").deadline == sec(5.5)
+    # The policy hands the engine the run's config: on twin queues both
+    # decide alike, and under noise the shrunk promise leaves the 5.5 s
+    # edge run no room.
+    noisy = SimConfig(num_vms=1, estimate_noise=0.3, seed=7)
+    for config in (DEFAULTS, noisy):
+        queues, twins = [VmQueue(0)], [VmQueue(0)]
+        decision = policy.decide(task, queues, edge_ready(task), config)
+        assert decision == engine.decide(task, twins, edge_ready(task),
+                                         config)
+        assert chunk_ids(queues[0]._chunks) == chunk_ids(twins[0]._chunks)
+    assert decision.platform is Platform.CLOUD
 
 
 def test_echo_keeps_the_no_edge_bound():

@@ -10,7 +10,7 @@ Beside them, _blockmatch holds the delta encoder's numpy block matcher;
 diff_encode loads it on first use, so no other layer imports numpy.
 """
 
-from .engine import decide, estimate
+from .engine import decide, estimate, no_edge
 from .model import (CostProfile, Decision, Platform, Task, TraceError,
                     from_seconds, to_seconds, validate_trace)
 from .objectsync import (EagerTransfer, ObjectRecord, SyncParams,
@@ -33,5 +33,6 @@ __all__ = [
     "TransferAccountant", "TrialInsertion", "VmQueue", "best_vm",
     "build_policy", "commit", "decide", "diff_apply", "diff_encode",
     "energy_of", "estimate", "from_seconds", "generate", "lazy_bytes",
-    "load", "run", "save", "to_seconds", "trial_insert", "validate_trace",
+    "load", "no_edge", "run", "save", "to_seconds", "trial_insert",
+    "validate_trace",
 ]

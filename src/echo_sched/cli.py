@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--provision-delay", type=float, default=0.0,
                           help="seconds between admission and VM readiness")
     settings.add_argument("--estimate-noise", type=float, default=0.0,
-                          help="multiplicative error in [0, 1] on device/cloud "
-                               "estimates (echo's edge promise still holds)")
+                          help="multiplicative error in [0, 1] on every "
+                               "policy's device/cloud estimates; edge legs "
+                               "stay exact and echo's promise still holds")
 
     simulate = sub.add_parser("simulate", parents=[settings],
                               help="replay a trace through a policy")

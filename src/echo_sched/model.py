@@ -163,9 +163,11 @@ class Decision(_DecisionFields):
     vm_index is set iff platform is EDGE.  deadline is the absolute
     completion bound arrival + min(local completion time, cloud completion
     time): running at the edge must never be worse than the better of the
-    two alternatives.  The QoS-guaranteeing engine attaches it to its edge
-    placements; best-effort edge placements (no admission control) and
-    device or cloud placements leave it None.
+    two alternatives.  Under estimate noise it is arrival plus a floor that
+    no true no-edge time undercuts, not the noisy minimum itself.  The
+    QoS-guaranteeing engine attaches it to its edge placements; best-effort
+    edge placements (no admission control) and device or cloud placements
+    leave it None.
     """
 
     __slots__ = ()

@@ -2,7 +2,9 @@
 
 A policy holds no settings: sim.run calls decide(task, queues, ready,
 config) at each arrival, with `ready` the earliest instant the task's
-work may start on a VM and `config` the run's SimConfig.  Only the two
+work may start on a VM and `config` the run's SimConfig.  Every policy
+reads its device and cloud estimates from engine.estimate(task, config),
+noisy under `estimate_noise`; edge legs are always exact.  Only the two
 edge-aware policies read the queues, and they change a schedule only when
 they place the task on a VM.  echo advances each VM it tries to the
 arrival before its trial; mcloud reads each VM's load off its queue tail
@@ -14,8 +16,8 @@ baselines.
     end-only      run everything on the device
     cloud-always  offload everything offloadable to the cloud
     thinkair      cloud iff its estimate strictly beats the device
-    mcloud        three-way argmin with a queue-blind edge estimate,
-                  best-effort FIFO placement on the least-loaded VM
+    mcloud        the edge if its queue-blind estimate is no slower than
+                  both others (FIFO on the least-loaded VM), else no_edge
     echo          deadline-guaranteeing edge scheduler (the engine)
 """
 
@@ -35,7 +37,8 @@ class LocalOnlyPolicy:
 
     def decide(self, task: Task, queues: list[VmQueue], ready: int,
                config) -> Decision:
-        return Decision(Platform.MOBILE, task.arrival + task.profile.r_mobile)
+        t_mobile, _ = engine.estimate(task, config)
+        return Decision(Platform.MOBILE, task.arrival + t_mobile)
 
 
 class CloudAlwaysPolicy:
@@ -46,10 +49,10 @@ class CloudAlwaysPolicy:
 
     def decide(self, task: Task, queues: list[VmQueue], ready: int,
                config) -> Decision:
-        if not task.offloadable:
-            return Decision(Platform.MOBILE, task.arrival + task.profile.r_mobile)
-        _, t_cloud = engine.estimate(task)
-        return Decision(Platform.CLOUD, task.arrival + t_cloud)
+        t_mobile, t_cloud = engine.estimate(task, config)
+        if task.offloadable:
+            return Decision(Platform.CLOUD, task.arrival + t_cloud)
+        return Decision(Platform.MOBILE, task.arrival + t_mobile)
 
 
 class QueueBlindCloudPolicy:
@@ -60,7 +63,7 @@ class QueueBlindCloudPolicy:
 
     def decide(self, task: Task, queues: list[VmQueue], ready: int,
                config) -> Decision:
-        t_mobile, t_cloud = engine.estimate(task)
+        t_mobile, t_cloud = engine.estimate(task, config)
         if task.offloadable and t_cloud < t_mobile:
             return Decision(Platform.CLOUD, task.arrival + t_cloud)
         return Decision(Platform.MOBILE, task.arrival + t_mobile)
@@ -83,28 +86,21 @@ class BestEffortEdgePolicy:
     def decide(self, task: Task, queues: list[VmQueue], ready: int,
                config) -> Decision:
         now = task.arrival
-        t_mobile, t_cloud = engine.estimate(task)
-        if not task.offloadable:
-            return Decision(Platform.MOBILE, now + t_mobile)
+        t_mobile, t_cloud = engine.estimate(task, config)
         p = task.profile
-        t_edge: int | None = None
-        if queues:
-            t_edge = p.up_edge + p.r_edge + p.down_edge  # assumes no waiting
-        chosen = engine.fastest(t_mobile, t_cloud, t_edge)
-        if chosen is Platform.MOBILE:
-            return Decision(Platform.MOBILE, now + t_mobile)
-        if chosen is Platform.CLOUD:
-            return Decision(Platform.CLOUD, now + t_cloud)
-        assert t_edge is not None
-        least = None
-        for queue in queues:  # lowest index among equal loads
-            load = queue.load(now)
-            if least is None or load < least:
-                least, chosen_queue = load, queue
-        chosen_queue.advance(now)
-        chosen_queue.append_fifo(task, ready)
-        return Decision(Platform.EDGE, now + t_edge,
-                        vm_index=chosen_queue.vm_index)
+        t_edge = p.up_edge + p.r_edge + p.down_edge  # assumes no waiting
+        if (task.offloadable and queues
+                and t_edge <= t_mobile and t_edge <= t_cloud):  # ties to edge
+            least = None
+            for queue in queues:  # lowest index among equal loads
+                load = queue.load(now)
+                if least is None or load < least:
+                    least, chosen_queue = load, queue
+            chosen_queue.advance(now)
+            chosen_queue.append_fifo(task, ready)
+            return Decision(Platform.EDGE, now + t_edge,
+                            vm_index=chosen_queue.vm_index)
+        return engine.no_edge(task, t_mobile, t_cloud)
 
 
 class DeadlineAwareEdgePolicy:

@@ -65,6 +65,10 @@ GOLDEN = {
         "2f7c61a93a0006b6889f48ade8cff7aa7f86f61365f18909ab193796064d59c5",
     ("echo", "delay+noise+rtt"):
         "89ccf5a88b9192c0674b1ee61acfdc7a3746d30adebbc7e935655156d3305cf5",
+    ("thinkair", "delay+noise+rtt"):
+        "7e4466ba627fb909c02edf1c05fc5dc535fb4056685463fe3cd38ddbd0c94f7a",
+    ("mcloud", "delay+noise+rtt"):
+        "2e652dd48874fc2b2a4b113ec688cd8c3d13ac247d50f62b3f6b0ef79e110678",
 }
 
 

@@ -2,17 +2,31 @@
 
 Echo "significantly outperforms existing code offloading systems at both
 execution time and energy consumption" (PAPER.md).  On mix-1/2/3 x
-lambda in {1, 4, 16} x {1, 4, 16} VMs x seeds {0, 1}, 600 tasks each and
-no estimate noise, every cell runs all five policies:
+lambda in {1, 4, 16} x {1, 4, 16} VMs x seeds {0, 1}, 600 tasks each, at
+estimate noise 0, 0.1, 0.3 and 0.6, every cell runs all five policies
+on one trace per mix, lambda and seed:
 
-- echo's mean and p95 response are at or below every baseline's;
+- echo's mean and p95 response are at or below those of the three
+  policies without an edge (end-only, cloud-always, thinkair) at every
+  noise, and at or below mcloud's without noise;
 - echo's device energy is at or below that of the three policies without
-  an edge (end-only, cloud-always, thinkair);
-- where echo spends more energy than mcloud, mcloud pays for its saving
-  in time: its mean response is a larger multiple of echo's than echo's
-  energy is of mcloud's.  mcloud parks work on busy VMs, where the device
-  idles at low power while the task waits; echo keeps such tasks on the
-  device or sends them to the cloud, which is faster but costs energy.
+  an edge at every noise;
+- without noise, where echo spends more energy than mcloud, mcloud pays
+  for its saving in time: its mean response is a larger multiple of
+  echo's than echo's energy is of mcloud's.  mcloud parks work on busy
+  VMs, where the device idles at low power while the task waits; echo
+  keeps such tasks on the device or sends them to the cloud, which is
+  faster but costs energy.
+
+Every policy reads the same noisy device and cloud estimates
+(engine.estimate).  Against thinkair the response claim follows from the
+code: echo's edge tasks end by a floor of their true no-edge time, and
+off the edge echo picks what thinkair picks, except on an exact tie of
+the two estimates, where echo takes the cloud and thinkair the device.
+The response claim against end-only and cloud-always, and every energy
+claim, were measured on this grid, not derived.  Nothing is asserted
+against mcloud under noise: the safe floor turns away edge tasks that
+mcloud, reading the exact edge legs, keeps (README "Claims").
 """
 
 import itertools
@@ -27,25 +41,29 @@ MIXES = ("mix-1", "mix-2", "mix-3")
 LAMBDAS = (1.0, 4.0, 16.0)
 VMS = (1, 4, 16)
 SEEDS = (0, 1)
+NOISES = (0.0, 0.1, 0.3, 0.6)
 TASKS = 600
 NO_EDGE = ("end-only", "cloud-always", "thinkair")
 
 
 @pytest.fixture(scope="module")
 def grid():
+    """Aggregates per policy, keyed by (noise, mix, lambda, VMs, seed)."""
     cells = {}
-    for mix, lam, vms, seed in itertools.product(MIXES, LAMBDAS, VMS, SEEDS):
+    for mix, lam, seed in itertools.product(MIXES, LAMBDAS, SEEDS):
         trace = generate(TASKS, lam, MixSpec.preset(mix), seed)
-        config = SimConfig(num_vms=vms, lam=lam, seed=seed)
-        cells[mix, lam, vms, seed] = {
-            policy: run(trace, policy, config).aggregates
-            for policy in POLICY_NAMES}
+        for vms, noise in itertools.product(VMS, NOISES):
+            config = SimConfig(num_vms=vms, lam=lam, seed=seed,
+                               estimate_noise=noise)
+            cells[noise, mix, lam, vms, seed] = {
+                policy: run(trace, policy, config).aggregates
+                for policy in POLICY_NAMES}
     return cells
 
 
 def test_echo_responds_no_slower_than_any_baseline(grid):
     for cell, a in grid.items():
-        for policy in POLICY_NAMES:
+        for policy in NO_EDGE if cell[0] else POLICY_NAMES:
             for key in ("mean_completion_s", "p95_completion_s"):
                 assert a["echo"][key] <= a[policy][key], (cell, policy, key)
 
@@ -60,7 +78,7 @@ def test_echo_spends_no_more_energy_than_the_no_edge_baselines(grid):
 def test_echo_buys_back_any_energy_over_mcloud_in_response_time(grid):
     for cell, a in grid.items():
         echo, mcloud = a["echo"], a["mcloud"]
-        if echo["energy_j"] <= mcloud["energy_j"]:
+        if cell[0] or echo["energy_j"] <= mcloud["energy_j"]:
             continue
         energy_ratio = echo["energy_j"] / mcloud["energy_j"]
         response_ratio = (mcloud["mean_completion_s"]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+from echo_sched.policies import POLICY_NAMES
 from echo_sched.traceio import load
 from conftest import cli_env
 
@@ -271,16 +272,16 @@ def test_compare_takes_every_simulate_run_setting(tmp_path):
     trace = make_trace(tmp_path)
     settings = ("--vms", 2, "--lambda-label", 2.0, "--seed", 3,
                 "--provision-delay", 0.01, "--estimate-noise", 0.3)
-    result = run_cli("compare", "--trace", trace, "--policies", "echo",
-                     *settings, "--out", tmp_path / "cmp", cwd=tmp_path)
+    result = run_cli("compare", "--trace", trace, *settings,
+                     "--out", tmp_path / "cmp", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    result = run_cli("simulate", "--trace", trace, "--policy", "echo",
-                     *settings, "--out", tmp_path / "sim", cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "cmp" / "echo.json").read_bytes() == \
-        (tmp_path / "sim.json").read_bytes()
-    assert json.loads((tmp_path / "sim.json").read_text())["config"][
-        "estimate_noise"] == 0.3
+    for policy in POLICY_NAMES:
+        result = run_cli("simulate", "--trace", trace, "--policy", policy,
+                         *settings, "--out", tmp_path / policy, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        report = (tmp_path / f"{policy}.json").read_bytes()
+        assert (tmp_path / "cmp" / f"{policy}.json").read_bytes() == report
+        assert json.loads(report)["config"]["estimate_noise"] == 0.3
 
 
 def test_compare_rejects_unknown_policy(tmp_path):

@@ -1,12 +1,13 @@
-"""Decision engine: platform estimates, argmin with tie ranks, commit-iff-edge."""
+"""Decision engine: platform estimates, tie order, commit-iff-edge."""
 
 import random
 
 import pytest
 
 from echo_sched import engine
-from echo_sched.engine import decide, estimate, fastest
+from echo_sched.engine import decide, estimate, no_edge
 from echo_sched.model import CostProfile, Platform, Task
+from echo_sched.policies import build_policy
 from echo_sched.scheduler import VmQueue, best_vm
 from echo_sched.sim import SimConfig
 from conftest import DEFAULTS, chunk_ids, edge_ready, mk_task, sec
@@ -15,12 +16,12 @@ from conftest import DEFAULTS, chunk_ids, edge_ready, mk_task, sec
 def test_estimate_examples():
     task = mk_task("t0", r_mobile=10.0, up_cloud=2.0, r_cloud=3.0,
                    down_cloud=1.0)
-    t_mobile, t_cloud = estimate(task)
+    t_mobile, t_cloud = estimate(task, DEFAULTS)
     assert t_mobile == sec(10)
     assert t_cloud == sec(6)
     free = mk_task("t1", r_mobile=0.0, up_cloud=0.0, r_cloud=0.0,
                    down_cloud=0.0)
-    assert estimate(free) == (0, 0)
+    assert estimate(free, DEFAULTS) == (0, 0)
 
 
 def test_decide_edge_commits_and_sets_deadline():
@@ -128,14 +129,31 @@ def test_decide_mobile_cloud_tie_prefers_cloud():
             is Platform.CLOUD)
 
 
-def test_fastest_breaks_ties_edge_then_cloud_then_device():
-    assert fastest(6, 6, 6) is Platform.EDGE
-    assert fastest(7, 6, 6) is Platform.EDGE
-    assert fastest(6, 6, 7) is Platform.CLOUD
-    assert fastest(6, 6, None) is Platform.CLOUD
-    assert fastest(6, 7, 6) is Platform.EDGE
-    assert fastest(5, 6, 6) is Platform.MOBILE
-    assert fastest(5, 6, None) is Platform.MOBILE
+def test_ties_go_to_edge_then_cloud_then_device():
+    # On an empty VM the engine's trial ends when mcloud's queue-blind
+    # estimate does, so both place alike; t_edge None means no VM, where
+    # both reduce to no_edge.
+    for t_mobile, t_cloud, t_edge, platform in (
+            (6, 6, 6, Platform.EDGE),
+            (7, 6, 6, Platform.EDGE),
+            (6, 6, 7, Platform.CLOUD),
+            (6, 6, None, Platform.CLOUD),
+            (6, 7, 6, Platform.EDGE),
+            (5, 6, 6, Platform.MOBILE),
+            (5, 6, None, Platform.MOBILE)):
+        task = mk_task("t0", 1.0, r_mobile=t_mobile, up_cloud=1.0,
+                       r_cloud=t_cloud - 2.0, down_cloud=1.0, up_edge=1.0,
+                       r_edge=(t_edge or 9) - 1.5, down_edge=0.5)
+        took = {Platform.MOBILE: t_mobile, Platform.CLOUD: t_cloud,
+                Platform.EDGE: t_edge}[platform]
+        decisions = [build_policy(name).decide(
+            task, [] if t_edge is None else [VmQueue(0)], edge_ready(task),
+            DEFAULTS) for name in ("echo", "mcloud")]
+        if t_edge is None:
+            decisions.append(no_edge(task, sec(t_mobile), sec(t_cloud)))
+        for decision in decisions:
+            assert decision.platform is platform, (t_mobile, t_cloud, t_edge)
+            assert decision.predicted_completion == sec(1 + took)
 
 
 def test_upload_override_shifts_ready_time():

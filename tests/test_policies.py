@@ -129,6 +129,35 @@ def test_mcloud_ignores_contention_and_overshoots():
     assert completion > sec(6)
 
 
+def test_every_policy_reads_the_same_noisy_estimates():
+    # A 6 s device run against a 6.2 s cloud round trip and a 7 s edge
+    # estimate.  At noise 0.3 and seed 7 the device is estimated at
+    # 7.54 s and the cloud at 7.14 s, while the edge legs stay exact.
+    noisy = SimConfig(num_vms=1, estimate_noise=0.3, seed=7)
+    task = mk_task("t0", r_mobile=6.0, up_cloud=1.0, r_cloud=4.2,
+                   down_cloud=1.0, up_edge=1.0, r_edge=5.0, down_edge=1.0)
+    ready = edge_ready(task)
+
+    def place(name, config):
+        return build_policy(name).decide(task, [VmQueue(0)], ready, config)
+
+    assert place("thinkair", DEFAULTS).platform is Platform.MOBILE
+    assert place("thinkair", noisy).platform is Platform.CLOUD
+    t_mobile, t_cloud = engine.estimate(task, noisy)
+    assert (t_mobile, t_cloud) == (7_537_200, 7_137_068)
+    assert place("thinkair", noisy).predicted_completion == t_cloud
+    assert place("cloud-always", noisy).predicted_completion == t_cloud
+    assert place("mcloud", DEFAULTS).platform is Platform.MOBILE
+    assert place("mcloud", noisy).platform is Platform.EDGE
+    assert place("mcloud", noisy).predicted_completion == sec(7)
+    pinned = mk_task("t0", r_mobile=6.0, offloadable=False)
+    for name in POLICY_NAMES:
+        decision = build_policy(name).decide(pinned, [VmQueue(0)], ready,
+                                             noisy)
+        assert decision.platform is Platform.MOBILE
+        assert decision.predicted_completion == t_mobile, name
+
+
 def test_mcloud_shares_the_engine_tie_order():
     # mcloud shares the engine's argmin: edge beats an equal cloud, and
     # the cloud beats an equal device

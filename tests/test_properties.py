@@ -402,15 +402,11 @@ class AlwaysTrialEcho(DeadlineAwareEdgePolicy):
 
     def decide(self, task, queues, ready, config):
         now = task.arrival
-        t_mobile, t_cloud = engine.estimate(task)
-        noise = config.estimate_noise
-        if noise:
-            t_mobile = engine._distort(t_mobile, task.id, config.seed, noise)
-            t_cloud = engine._distort(t_cloud, task.id + "/c", config.seed,
-                                      noise)
+        t_mobile, t_cloud = engine.estimate(task, config)
         if not task.offloadable:
             return Decision(Platform.MOBILE, now + t_mobile)
         bound = min(t_mobile, t_cloud)
+        noise = config.estimate_noise
         if noise:
             bound = math.floor((bound - 1) / (1 + noise))
         horizon = now + bound
@@ -420,9 +416,7 @@ class AlwaysTrialEcho(DeadlineAwareEdgePolicy):
             commit(trial)
             return Decision(Platform.EDGE, done, vm_index=trial.vm_index,
                             deadline=horizon)
-        chosen = engine.fastest(t_mobile, t_cloud, None)
-        return Decision(chosen, now + (t_cloud if chosen is Platform.CLOUD
-                                       else t_mobile))
+        return engine.no_edge(task, t_mobile, t_cloud)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

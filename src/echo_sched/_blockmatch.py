@@ -1,7 +1,9 @@
 """Block matcher of the delta codec: the package's only numpy user.
 
-objectsync.diff_encode imports this module only when a pair reaches
-block matching, so the simulator and the CLI never load numpy.
+copy_runs finds the runs of the new payload that objectsync.diff_encode
+copies from the old one; diff_encode packs every op of the wire format,
+and imports this module only when a pair reaches block matching, so the
+simulator and the CLI never load numpy.
 
 The encoder keys each window by the polynomial sum(x[j + k] * BASE**k)
 modulo 2**32 (Karp and Rabin's rolling key).  BASE is odd, so it has an
@@ -18,8 +20,7 @@ that outruns its span are never keyed.  An np.take of a bitmap on the
 low 20 bits of the block keys discards almost every window; survivors
 are looked up in the block keys, sorted once per encode.  Scanning left
 to right, the first window that verifies byte-for-byte against a block
-becomes a COPY, extended by comparing doubling strides, and the bytes
-between COPYs become INSERTs.
+starts a run, extended by comparing doubling strides.
 
 The key, spans, prefilter and stride compare set only speed and memory.
 A window's key depends only on its own bytes, so keying a slice gives the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objectsync import _COPY, _INSERT_HEAD, _OP_COPY, _OP_INSERT, DEFAULT_BLOCK
+from .objectsync import DEFAULT_BLOCK
 
 _PREFILTER_BITS = 20
 _PREFILTER_MASK = np.uint32((1 << _PREFILTER_BITS) - 1)
@@ -138,8 +139,9 @@ def _match_length(old: bytes, new: bytes, off: int, cand: int,
     return limit
 
 
-def _encode_blocks(old: bytes, new: bytes, block: int) -> list[bytes]:
-    """COPY and INSERT ops taking `old` to `new`; both hold a full block."""
+def copy_runs(old: bytes, new: bytes, block: int) -> list[tuple[int, int, int]]:
+    """(start in new, offset in old, length) of each run that diff_encode
+    copies, in increasing start order; both payloads hold a full block."""
     # a span's slice holds at most (_SPAN_CAP + 1) * block - 1 bytes
     powers, inverses = _tables(min(len(new), (_SPAN_CAP + 1) * block))
     block_keys = _block_keys(np.frombuffer(old, dtype=np.uint8), block, powers)
@@ -151,8 +153,8 @@ def _encode_blocks(old: bytes, new: bytes, block: int) -> list[bytes]:
 
     data = np.frombuffer(new, dtype=np.uint8)
     windows = len(new) - block + 1
-    ops: list[bytes] = []
-    lit_start = 0
+    runs: list[tuple[int, int, int]] = []
+    copied_to = 0  # end of the last run
     pos = 0
     span = _FIRST_SPAN * block
     while pos < windows:
@@ -172,19 +174,13 @@ def _encode_blocks(old: bytes, new: bytes, block: int) -> list[bytes]:
                 continue
             # extend the verified match as far as both sides agree
             length = _match_length(old, new, off, cand, block)
-            if cand > lit_start:
-                chunk = new[lit_start:cand]
-                ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
-            ops.append(_COPY.pack(_OP_COPY, off, length))
-            lit_start = cand + length
-            # candidates inside the match are spent
-            i = int(starts.searchsorted(lit_start))
-        # lit_start <= pos on entry, so it passed pos only if a COPY landed
-        if lit_start > pos:
-            pos, span = max(end, lit_start), _FIRST_SPAN * block
+            runs.append((cand, off, length))
+            copied_to = cand + length
+            # candidates inside the run are spent
+            i = int(starts.searchsorted(copied_to))
+        # copied_to <= pos on entry, so it passed pos only if a run landed
+        if copied_to > pos:
+            pos, span = max(end, copied_to), _FIRST_SPAN * block
         else:
             pos, span = end, min(2 * span, _SPAN_CAP * block)
-    if lit_start < len(new):
-        chunk = new[lit_start:]
-        ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk)
-    return ops
+    return runs

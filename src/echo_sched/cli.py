@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import sim, traceio
 from .model import TraceError, from_seconds
-from .policies import POLICY_NAMES
+from .policies import POLICY_NAMES, build_policy
 from .sim import SimConfig, SimReport
 
 
@@ -158,21 +158,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for name in names:
-        if name not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {name!r}; "
-                             f"expected one of {', '.join(POLICY_NAMES)}")
-        if names.count(name) > 1:
-            raise ValueError(f"policy {name!r} given more than once")
     if not names:
         raise ValueError("no policies given")
+    policies = [build_policy(name) for name in names]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"policy {name!r} given more than once")
     trace = traceio.load(args.trace)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _make_config(args)
     rows = []
-    for name in names:
-        report = sim.run(trace, name, config)
+    for policy in policies:
+        name = policy.name
+        report = sim.run(trace, policy, config)
         report.write_json(out_dir / f"{name}.json")
         report.write_csv(out_dir / f"{name}.csv")
         a = report.aggregates

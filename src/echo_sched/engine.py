@@ -68,9 +68,9 @@ def decide(task: Task, queues: list[VmQueue], ready: int, config) -> Decision:
         done = trial.entry.end + p.down_edge
         if done <= horizon:  # ties go to the edge
             commit(trial)
-            logger.debug("task %s -> edge vm %d (t_m=%d t_c=%d t_e=%d)",
-                         task.id, trial.vm_index, t_mobile, t_cloud,
-                         done - now)
+            logger.debug("task %s -> edge vm %d (t_m=%d t_c=%d t_e=%d, "
+                         "growth %d)", task.id, trial.vm_index, t_mobile,
+                         t_cloud, done - now, trial.delta_t)
             return Decision(Platform.EDGE, done, vm_index=trial.vm_index,
                             deadline=horizon)
     return no_edge(task, t_mobile, t_cloud)

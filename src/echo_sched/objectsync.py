@@ -18,8 +18,8 @@ Delta wire format, little-endian:
     op COPY   = tag 0x00 | source offset u64 | length u32
     op INSERT = tag 0x01 | length u32 | raw bytes
 
-diff_encode's block matcher lives in _blockmatch and loads, with numpy,
-on the first pair that reaches it; everything here is plain Python.
+diff_encode packs every op; the runs it copies come from _blockmatch,
+which loads, with numpy, on the first pair that reaches it.
 
 Applying a delta against the wrong base payload fails the digest check;
 any other break of the wire format raises SyncError.  Only the base is
@@ -78,14 +78,25 @@ def diff_encode(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK) -> byte
         if new:
             ops.append(_COPY.pack(_OP_COPY, 0, len(new)))
     elif len(old) < block_size or len(new) < block_size:
-        ops.append(_INSERT_HEAD.pack(_OP_INSERT, len(new)) + new)
+        ops.append(_insert(new))
     else:
-        from ._blockmatch import _encode_blocks
-        ops = _encode_blocks(old, new, block_size)
+        from ._blockmatch import copy_runs
+        copied_to = 0
+        for start, offset, length in copy_runs(old, new, block_size):
+            if start > copied_to:
+                ops.append(_insert(new[copied_to:start]))
+            ops.append(_COPY.pack(_OP_COPY, offset, length))
+            copied_to = start + length
+        if copied_to < len(new):
+            ops.append(_insert(new[copied_to:]))
 
     header = _HEADER.pack(MAGIC, WIRE_VERSION, hashlib.sha256(old).digest(),
                           block_size, len(ops))
     return header + b"".join(ops)
+
+
+def _insert(chunk: bytes) -> bytes:
+    return _INSERT_HEAD.pack(_OP_INSERT, len(chunk)) + chunk
 
 
 def diff_apply(old: bytes, delta: bytes) -> bytes:

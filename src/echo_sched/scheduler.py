@@ -22,13 +22,10 @@ task stores its end under the committed schedule.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from typing import NamedTuple
 
 from .model import Task
-
-logger = logging.getLogger(__name__)
 
 _REPAIR_SLACK = 2  # termination guard headroom over the chunk count
 
@@ -442,5 +439,3 @@ def commit(trial: TrialInsertion) -> None:
     for queued, end in trial.ends.items():
         queued.end = end
     queue.version += 1
-    logger.debug("vm %d: committed %s (completion %d, growth %d)",
-                 queue.vm_index, entry.id, entry.end, trial.delta_t)

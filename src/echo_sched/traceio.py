@@ -6,8 +6,8 @@ names exactly as in model.Task.  All times are integer microseconds, so
 save/load round-trips are exact.
 
 The generator draws exponential inter-arrivals, assigns each task an app
-archetype from a two-class mix (interactive vs compute-heavy), and draws
-its cost profile from per-app ranges in a plain INI config shipped with
+from a two-class MixSpec (interactive vs compute-heavy), and draws its
+cost profile from that app's ranges in a plain INI config shipped with
 the package (clearly labeled as non-authoritative estimates).
 """
 
@@ -19,7 +19,7 @@ import logging
 import os
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -39,7 +39,10 @@ _USER_POOL = 100
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Workload mix: class split plus per-app weights within each class."""
+    """Workload mix: class split plus per-app weights within each class.
+
+    The mix alone decides which apps are interactive.  Its default weights
+    name the built-in profile's apps: a custom profile must define them."""
 
     interactive_fraction: float
     interactive_weights: dict[str, float] = field(
@@ -134,27 +137,29 @@ def save(trace: TraceFile, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> TraceFile:
+    """Read a trace line by line; a file of blanks is an empty trace.  Lines
+    end only at line ends, so U+0085, U+2028 and U+2029 may stand raw in
+    JSON strings."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        return TraceFile(header={"schema": SCHEMA}, tasks=[])
-    lines = text.splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"{path}: line 1: malformed header: {exc}") from None
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-        raise TraceError(f"{path}: line 1: missing or unsupported schema tag "
-                         f"(expected {SCHEMA!r})")
     tasks: list[Task] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline().rstrip("\n")
+        if not head.strip() and not fh.read().strip():
+            return TraceFile(header={"schema": SCHEMA}, tasks=[])
         try:
-            row = json.loads(line)
-            tasks.append(_task_from_dict(row))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"{path}: line {lineno}: {exc}") from None
+            header = json.loads(head)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"{path}: line 1: malformed header: {exc}") from None
+        if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+            raise TraceError(f"{path}: line 1: missing or unsupported schema "
+                             f"tag (expected {SCHEMA!r})")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                tasks.append(_task_from_dict(json.loads(line.rstrip("\n"))))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise TraceError(f"{path}: line {lineno}: {exc}") from None
     for warning in validate_trace(tasks):
         logger.warning("%s: %s", path, warning)
     return TraceFile(header=header, tasks=tasks)
@@ -172,8 +177,6 @@ def _task_from_dict(row: dict) -> Task:
 
 @dataclass(frozen=True)
 class _AppArchetype:
-    name: str
-    interactive: bool
     r_mobile_s: float
     r_edge_s: float
     upload_kb: float
@@ -188,7 +191,14 @@ class _LinkParams:
     cloud_latency_ms: float
 
 
+# _draw_profile divides by the link rates and would draw a zero r_edge,
+# which CostProfile rejects; every other profile value must be >= 0.
+_POSITIVE_KEYS = {"edge_rate_kb_per_s", "cloud_rate_kb_per_s", "r_edge_s"}
+
+
 def _load_profiles(path: str | Path | None) -> tuple[dict[str, _AppArchetype], _LinkParams]:
+    """The [app.*] archetypes and [links] of a profile INI, each key read
+    as the field of the same name and checked where it is read."""
     parser = configparser.ConfigParser()
     if path is None:
         ini = resources.files("echo_sched").joinpath("app_profiles.ini")
@@ -197,26 +207,21 @@ def _load_profiles(path: str | Path | None) -> tuple[dict[str, _AppArchetype], _
         read = parser.read(str(path), encoding="utf-8")
         if not read:
             raise TraceError(f"profile config not found: {path}")
+
+    def section(cls, name):
+        values = {}
+        for key in (f.name for f in fields(cls)):
+            value = values[key] = parser.getfloat(name, key)
+            positive = key in _POSITIVE_KEYS
+            if not (value > 0 if positive else value >= 0):  # NaN fails both
+                raise ValueError(f"[{name}] {key} must be "
+                                 f"{'>' if positive else '>='} 0, got {value!r}")
+        return cls(**values)
+
     try:
-        links = _LinkParams(
-            edge_rate_kb_per_s=parser.getfloat("links", "edge_rate_kb_per_s"),
-            edge_latency_ms=parser.getfloat("links", "edge_latency_ms"),
-            cloud_rate_kb_per_s=parser.getfloat("links", "cloud_rate_kb_per_s"),
-            cloud_latency_ms=parser.getfloat("links", "cloud_latency_ms"),
-        )
-        apps: dict[str, _AppArchetype] = {}
-        for section in parser.sections():
-            if not section.startswith("app."):
-                continue
-            name = section[len("app."):]
-            apps[name] = _AppArchetype(
-                name=name,
-                interactive=parser.get(section, "class") == "interactive",
-                r_mobile_s=parser.getfloat(section, "r_mobile_s"),
-                r_edge_s=parser.getfloat(section, "r_edge_s"),
-                upload_kb=parser.getfloat(section, "upload_kb"),
-                download_kb=parser.getfloat(section, "download_kb"),
-            )
+        links = section(_LinkParams, "links")
+        apps = {name[len("app."):]: section(_AppArchetype, name)
+                for name in parser.sections() if name.startswith("app.")}
     except (configparser.Error, ValueError) as exc:
         raise TraceError(f"bad profile config: {exc}") from None
     if not apps:

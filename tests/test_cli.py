@@ -45,6 +45,23 @@ def test_gen_traces_rejects_bad_mix(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_gen_traces_rejects_a_zero_link_rate(tmp_path):
+    profiles = tmp_path / "profiles.ini"
+    profiles.write_text(
+        "[links]\nedge_rate_kb_per_s = 0\nedge_latency_ms = 50\n"
+        "cloud_rate_kb_per_s = 120\ncloud_latency_ms = 200\n"
+        "[app.ocr]\nr_mobile_s = 15\nr_edge_s = 3\nupload_kb = 1800\n"
+        "download_kb = 150\n")
+    result = run_cli("gen-traces", "--n", 10, "--lambda", 1.0, "--seed", 0,
+                     "--profiles", profiles, "--out", tmp_path / "t.jsonl",
+                     cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert ("error: bad profile config: [links] edge_rate_kb_per_s must be "
+            "> 0, got 0.0") in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_simulate_writes_json_and_csv(tmp_path):
     trace = make_trace(tmp_path)
     result = run_cli("simulate", "--trace", trace, "--policy", "echo",
@@ -222,7 +239,7 @@ def test_simulate_rejects_counts_of_2_64_or_more(tmp_path):
         assert not (tmp_path / f"{field}.json").exists()
 
 
-def test_simulate_debug_log_names_commits_and_edge_placements(tmp_path):
+def test_simulate_debug_log_has_one_line_per_edge_placement(tmp_path):
     trace = make_trace(tmp_path)
     env = {**cli_env(), "ECHO_SCHED_LOG": "debug"}
     result = subprocess.run(
@@ -231,9 +248,13 @@ def test_simulate_debug_log_names_commits_and_edge_placements(tmp_path):
          "--out", str(tmp_path / "r")],
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert result.returncode == 0, result.stderr
-    assert re.search(r"vm \d+: committed \S+ \(completion \d+, growth \d+\)",
-                     result.stderr), result.stderr
-    assert re.search(r"task \S+ -> edge vm \d+ \(", result.stderr)
+    logged = re.findall(r"task (\S+) -> edge vm (\d+) \(t_m=\d+ t_c=\d+ "
+                        r"t_e=\d+, growth \d+\)\n", result.stderr)
+    tasks = json.loads((tmp_path / "r.json").read_text())["tasks"]
+    placed = [(t["task_id"], str(t["vm_index"])) for t in tasks
+              if t["vm_index"] is not None]
+    assert placed and logged == placed, result.stderr
+    assert "committed" not in result.stderr
     assert "--- Logging error ---" not in result.stderr
 
 

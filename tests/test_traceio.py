@@ -1,10 +1,13 @@
 """Trace generation and JSONL round-tripping."""
 
+import configparser
 import dataclasses
 import json
 import math
 import random
+import re
 import statistics
+from importlib import resources
 
 import pytest
 
@@ -117,6 +120,23 @@ def test_load_reads_raw_utf8_whatever_the_locale(tmp_path):
         b'"profile":{"down_cloud":1,"down_edge":1,"r_cloud":1,"r_edge":1,'
         b'"r_mobile":1,"up_cloud":1,"up_edge":1},"user_id":"u"}\n')
     assert load(path).tasks[0].id == "caf\u00e9"
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_load_splits_only_at_line_ends(tmp_path, sep):
+    # JSON allows these raw inside strings; str.splitlines() splits at them
+    trace = generate(n=3, lam=1.0, mix=MixSpec.preset("mix-1"), seed=0)
+    path = tmp_path / "trace.jsonl"
+    save(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[2])
+    row["app"] = f"ocr{sep}v2"
+    lines[2] = json.dumps(row, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load(path).tasks[1].app == f"ocr{sep}v2"
+    path.write_text("\n".join(lines + ["{broken"]) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError, match="line 5: "):
+        load(path)
 
 
 def reference_lines(trace: TraceFile) -> str:
@@ -331,7 +351,6 @@ def test_custom_profile_config(tmp_path):
         "cloud_rate_kb_per_s = 100\n"
         "cloud_latency_ms = 100\n"
         "[app.solo]\n"
-        "class = interactive\n"
         "r_mobile_s = 10\n"
         "r_edge_s = 1\n"
         "upload_kb = 100\n"
@@ -341,6 +360,50 @@ def test_custom_profile_config(tmp_path):
     trace = generate(n=20, lam=1.0, mix=mix, seed=0, profile_config=config)
     assert {t.app for t in trace.tasks} == {"solo"}
     assert trace.header["generator"]["profiles"] == str(config)
+
+
+def test_profile_classes_are_not_read(tmp_path):
+    # MixSpec alone names the interactive apps; a profile needs no class keys
+    builtin = resources.files("echo_sched").joinpath("app_profiles.ini")
+    config = tmp_path / "profiles.ini"
+    config.write_text("".join(
+        line for line in builtin.read_text().splitlines(keepends=True)
+        if not line.startswith("class")))
+    mix = MixSpec.preset("mix-2")
+    ours = generate(200, 2.0, mix, 3)
+    custom = generate(200, 2.0, mix, 3, profile_config=config)
+    custom.header["generator"]["profiles"] = "builtin"
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save(ours, a)
+    save(custom, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("links", "edge_rate_kb_per_s", "0", "> 0"),
+    ("links", "cloud_rate_kb_per_s", "-5", "> 0"),
+    ("links", "edge_latency_ms", "nan", ">= 0"),
+    ("app.ocr", "r_edge_s", "0", "> 0"),
+    ("app.chess", "r_mobile_s", "-1", ">= 0"),
+    ("app.sudoku", "upload_kb", "nan", ">= 0")])
+def test_profile_values_are_checked_where_read(tmp_path, section, key,
+                                               value, rule):
+    parser = configparser.ConfigParser()
+    parser.read_string(resources.files("echo_sched")
+                       .joinpath("app_profiles.ini").read_text())
+    parser.set(section, key, value)
+    config = tmp_path / "profiles.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(TraceError, match=re.escape(
+            f"bad profile config: [{section}] {key} must be {rule}, got")):
+        _load_profiles(config)
+    # a zero that nothing divides by is a valid profile value
+    parser.set(section, key, "1")
+    parser.set("app.ocr", "download_kb", "0")
+    with open(config, "w") as fh:
+        parser.write(fh)
+    assert _load_profiles(config)[0]["ocr"].download_kb == 0
 
 
 def test_missing_profile_config(tmp_path):
